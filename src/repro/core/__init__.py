@@ -9,8 +9,7 @@ on live in :mod:`repro.smb` (remote shared memory), :mod:`repro.mpi`
 The training core is layered (see ``docs/architecture.md``):
 :class:`TrainingEngine` owns the iteration loop, an
 :class:`ExchangeStrategy` owns the parameter-sharing rule, and the
-:class:`OverlapDriver` owns the Fig.-6 update thread.  ``ShmCaffeWorker``
-and ``HybridWorker`` remain as thin construction facades.
+:class:`OverlapDriver` owns the Fig.-6 update thread.
 """
 
 from .autoscale import (
@@ -48,7 +47,6 @@ from .exchange import (
     make_exchange,
     register_exchange,
 )
-from .hybrid import HybridWorker
 from .overlap import OverlapDriver
 from .seasgd import (
     apply_increment_global,
@@ -68,7 +66,6 @@ from .trainer import (
     ElasticWorkerHandle,
     TrainingResult,
 )
-from .worker import ShmCaffeWorker
 
 __all__ = [
     "AutoscaleController",
@@ -85,7 +82,6 @@ __all__ = [
     "FleetSignals",
     "FlushTimeoutError",
     "HybridExchange",
-    "HybridWorker",
     "IterationRecord",
     "OverlapDriver",
     "STOP_FIRST_FINISHER",
@@ -94,7 +90,6 @@ __all__ = [
     "SEASGDExchange",
     "SMBAsgdExchange",
     "ShmCaffeConfig",
-    "ShmCaffeWorker",
     "StaleReadExchange",
     "TerminationCoordinator",
     "TerminationCriterion",

@@ -10,8 +10,7 @@ implementation driven by the shared
   too (the delayed-parameter behaviour the paper refuses);
 * :class:`HybridExchange` — HSGD: intra-group ring allreduce, root-only
   SEASGD against the SMB server, weight broadcast back to the group.
-  Roots now honor ``overlap_updates`` (the pre-refactor ``HybridWorker``
-  forced the exchange synchronous);
+  Roots honor ``overlap_updates``;
 * :class:`SMBAsgdExchange` — the :mod:`repro.platforms.asgd` Downpour
   rule ported onto the SMB accumulate primitive, proving the seam admits
   new update rules without a new worker class.
@@ -272,8 +271,7 @@ class HybridExchange(BaseExchange):
     Group members contribute gradients to the ring allreduce and receive
     the root's post-exchange weights by broadcast; only the root talks to
     the SMB server, through an inner :class:`SEASGDExchange` — which
-    means roots inherit the Fig.-6 overlap when ``overlap_updates`` is on
-    (the pre-refactor ``HybridWorker`` always exchanged synchronously).
+    means roots inherit the Fig.-6 overlap when ``overlap_updates`` is on.
 
     The root decides termination for the whole group and shares the
     decision through a one-element broadcast so members stop in lockstep;

@@ -39,6 +39,7 @@ from ..smb import errors as smb_errors
 from ..smb.client import ControlBlock, RemoteArray, SlotClaim, SMBClient
 from ..smb.faults import FaultInjectingTransport, FaultPlan
 from ..smb.membership import MembershipRegistry
+from ..smb.memory import DEFAULT_TENANT
 from ..smb.retry import RetryPolicy
 from ..smb.server import SMBServer
 from ..smb.transport import InProcTransport, TcpTransport
@@ -127,8 +128,10 @@ class DistributedTrainingManager:
         server_address: Connect to a remote :class:`TcpSMBServer` at this
             ``(host, port)`` instead of using an in-process core — the
             true multi-process emulation mode.  Overrides ``server``.
-        namespace: Prefix for every segment name this run creates, so
-            several jobs can share one long-lived SMB server.
+        tenant: SMB tenant the run's segments and its registry entry
+            live in.  Jobs sharing one long-lived SMB server (and one
+            registry) run in different tenants; segment names stay
+            plain (``W_g``, ``control``, ``dW_<rank>``).
         seed: Base seed; replica init is identical across workers, data
             order differs per rank.
         initial_weights: Flat vector to seed every replica (and W_g)
@@ -198,7 +201,7 @@ class DistributedTrainingManager:
         group_size: int = 1,
         server: Optional[SMBServer] = None,
         server_address: Optional[Tuple[str, int]] = None,
-        namespace: str = "",
+        tenant: str = DEFAULT_TENANT,
         seed: int = 0,
         initial_weights: Optional[np.ndarray] = None,
         prefetch: bool = False,
@@ -250,8 +253,7 @@ class DistributedTrainingManager:
                 f"{num_workers}"
             )
         if group_size > 1 and config.stale_global_read:
-            # HybridWorker used to drop this ablation on the floor; fail
-            # loudly instead of silently training something else.
+            # Fail loudly instead of silently training something else.
             raise ValueError(
                 "stale_global_read is not supported with group_size > 1: "
                 "the stale-read ablation is defined for direct SEASGD "
@@ -280,7 +282,7 @@ class DistributedTrainingManager:
             self.server = server if server is not None else SMBServer(
                 capacity=1 << 30, telemetry=self.telemetry
             )
-        self.namespace = namespace
+        self.tenant = tenant
         self.seed = seed
         self.initial_weights = (
             np.asarray(initial_weights, dtype=np.float32)
@@ -361,9 +363,10 @@ class DistributedTrainingManager:
                 ),
                 rendezvous=self.rendezvous,
                 server_down_grace=self.server_down_grace,
+                tenant=self.tenant,
             )
         else:
-            transport = InProcTransport(self.server)
+            transport = InProcTransport(self.server, tenant=self.tenant)
         if rank is not None and self.fault_plan is not None:
             transport = FaultInjectingTransport(
                 transport, self.fault_plan.for_rank(rank)
@@ -371,6 +374,7 @@ class DistributedTrainingManager:
         return SMBClient(
             transport, self.telemetry,
             retry_policy=self.retry_policy if rank is not None else None,
+            tenant=self.tenant,
         )
 
     def _reclaim_array(
@@ -436,13 +440,12 @@ class DistributedTrainingManager:
                 flat.set_vector(resume.load_global_weights())
         client = self._make_client(rank=rank)
 
-        ns = self.namespace
         capacity = self.control_capacity
         # Elastic fleets start with every slot FREE and claim explicitly;
         # fixed fleets pre-claim all slots (the historical layout).
         preclaimed = 0 if self.elastic else None
         if comm.is_master:
-            global_array = self._create_array(client, f"{ns}W_g", flat.count)
+            global_array = self._create_array(client, "W_g", flat.count)
             if resume is not None:
                 # W_g continues from the checkpointed elastic centre,
                 # NOT from the master's replica — they differ under
@@ -452,7 +455,7 @@ class DistributedTrainingManager:
                 global_array.write(flat.get_vector())
             try:
                 control = ControlBlock.create(
-                    client, f"{ns}control", capacity, preclaimed
+                    client, "control", capacity, preclaimed
                 )
             except smb_errors.SegmentExistsError:
                 if resume is None:
@@ -461,7 +464,7 @@ class DistributedTrainingManager:
                 # previous run's Iter_x counters and stop flag must not
                 # leak into the resumed fleet's termination decisions.
                 array = self._reclaim_array(
-                    client, f"{ns}control", 2 * capacity + 1, "int64"
+                    client, "control", 2 * capacity + 1, "int64"
                 )
                 control = ControlBlock(array, capacity)
                 control.reset(preclaimed)
@@ -486,11 +489,11 @@ class DistributedTrainingManager:
         if is_seasgd_participant:
             if global_array is None:
                 global_array = client.attach_array(
-                    f"{ns}W_g", keys["W_g"], flat.count
+                    "W_g", keys["W_g"], flat.count
                 )
             if control is None:
                 control = ControlBlock.attach(
-                    client, f"{ns}control", keys["control"], capacity
+                    client, "control", keys["control"], capacity
                 )
             if self.registry is not None:
                 # Launch workers take their deterministic slot (== group
@@ -501,9 +504,10 @@ class DistributedTrainingManager:
                 self.registry.join(
                     member_id, slot=group_id,
                     generation=claim.generation if claim else 1,
+                    namespace=self.tenant,
                 )
             increment = self._create_array(
-                client, f"{ns}dW_{rank}", flat.count
+                client, f"dW_{rank}", flat.count
             )
             termination = TerminationCoordinator(
                 control,
@@ -617,10 +621,8 @@ class DistributedTrainingManager:
         def monitor(rank: int, iteration: int, stats: Dict[str, float]) -> None:
             if iteration % manager.eval_every != 0:
                 return
-            shm_key, _ = client.lookup(f"{manager.namespace}W_g")
-            array = client.attach_array(
-                f"{manager.namespace}W_g", shm_key, eval_flat.count
-            )
+            shm_key, _ = client.lookup("W_g")
+            array = client.attach_array("W_g", shm_key, eval_flat.count)
             eval_flat.set_vector(array.read())
             totals: Dict[str, float] = {}
             for batch in test_batches:
@@ -658,7 +660,6 @@ class DistributedTrainingManager:
         else:
             server_doc = {"mode": "inproc"}
         job = {
-            "namespace": self.namespace,
             "count": count,
             "w_g_key": global_array.shm_key,
             "control_key": control.shm_key,
@@ -670,7 +671,9 @@ class DistributedTrainingManager:
             "update_interval": self.config.update_interval,
             "elastic": self.elastic,
         }
-        self.registry.publish_job(server_doc, job, self.control_capacity)
+        self.registry.publish_job(
+            server_doc, job, self.control_capacity, namespace=self.tenant
+        )
 
     def _membership_monitor(
         self,
@@ -687,13 +690,14 @@ class DistributedTrainingManager:
         """
         registry = self.registry
         assert registry is not None
+        tenant = self.tenant
 
         def monitor(rank: int, iteration: int, stats: Dict[str, float]) -> None:
             if inner is not None:
                 inner(rank, iteration, stats)
             try:
-                registry.heartbeat(member_id)
-                if registry.retiring(member_id):
+                registry.heartbeat(member_id, namespace=tenant)
+                if registry.retiring(member_id, namespace=tenant):
                     retire_event.set()
             except smb_errors.MembershipError as exc:
                 logging.getLogger(__name__).warning(
@@ -729,7 +733,7 @@ class DistributedTrainingManager:
                 "slot release for %s failed: %s", member_id, exc
             )
         try:
-            self.registry.leave(member_id)
+            self.registry.leave(member_id, namespace=self.tenant)
         except smb_errors.MembershipError as exc:
             logging.getLogger(__name__).warning(
                 "registry leave for %s failed: %s", member_id, exc
@@ -744,7 +748,7 @@ class DistributedTrainingManager:
         harness, the elastic drill) once the run is underway; blocks up
         to ``timeout`` for the master's job publication.  The worker
         discovers the job **through the registry** — SHM keys, model
-        size, namespace — exactly as an out-of-process joiner would.
+        size, tenant — exactly as an out-of-process joiner would.
         """
         if not self.elastic or self.registry is None:
             raise ValueError("spawn_worker requires an elastic run")
@@ -781,7 +785,7 @@ class DistributedTrainingManager:
             raise ValueError("retire_worker requires a membership registry")
         if member_id is None:
             members = [
-                m for m in self.registry.read().live_members()
+                m for m in self.registry.read().live_members(self.tenant)
                 if m.status == "active" and m.slot != 0
             ]
             if not members:
@@ -793,7 +797,7 @@ class DistributedTrainingManager:
             member_id = max(
                 pool, key=lambda m: (m.joined_at, m.slot)
             ).member_id
-        if not self.registry.request_retire(member_id):
+        if not self.registry.request_retire(member_id, namespace=self.tenant):
             return False
         with self._elastic_lock:
             event = self._retire_events.get(member_id)
@@ -818,9 +822,8 @@ class DistributedTrainingManager:
         joined = False
         client: Optional[SMBClient] = None
         try:
-            view = registry.wait_for_job()
-            job = view.job
-            ns = str(job.get("namespace", ""))
+            view = registry.wait_for_job(namespace=self.tenant)
+            job = view.entry(self.tenant).job
             count = int(job["count"])                # type: ignore[arg-type]
             capacity = int(job["capacity"])          # type: ignore[arg-type]
             launch = int(job.get("num_launch_workers", self.num_workers))  # type: ignore[arg-type]
@@ -828,20 +831,22 @@ class DistributedTrainingManager:
             # the launch fleet so per-worker metrics stay distinct.
             rank_id = launch + handle.seq
             client = self._make_client(rank=rank_id)
-            member = registry.join(member_id)
+            member = registry.join(member_id, namespace=self.tenant)
             joined = True
             control = ControlBlock.attach(
-                client, f"{ns}control",
+                client, "control",
                 int(job["control_key"]), capacity,    # type: ignore[arg-type]
             )
             claim = control.claim(slot=member.slot)
-            registry.update_member(member_id, generation=claim.generation)
+            registry.update_member(
+                member_id, namespace=self.tenant, generation=claim.generation
+            )
             handle.slot, handle.generation = claim.slot, claim.generation
 
             net = Net(self.spec_factory(), seed=self.seed)
             flat = FlatParams(net)
             global_array = client.attach_array(
-                f"{ns}W_g", int(job["w_g_key"]), count,  # type: ignore[arg-type]
+                "W_g", int(job["w_g_key"]), count,  # type: ignore[arg-type]
             )
             if flat.count != count:
                 raise smb_errors.MembershipError(
@@ -851,9 +856,7 @@ class DistributedTrainingManager:
             # Seed the replica from the current elastic centre, not from
             # the launch-time init: the fleet has moved on.
             flat.set_vector(global_array.read())
-            increment = client.create_array(
-                f"{ns}dW_{member_id}", count
-            )
+            increment = client.create_array(f"dW_{member_id}", count)
             strategy = make_exchange(
                 self.config,
                 global_weights=global_array,
@@ -908,7 +911,7 @@ class DistributedTrainingManager:
             )
             if joined:
                 try:
-                    registry.leave(member_id)
+                    registry.leave(member_id, namespace=self.tenant)
                 except (smb_errors.MembershipError, OSError):
                     pass  # registry dir may already be torn down
             with self._elastic_lock:
@@ -967,10 +970,8 @@ class DistributedTrainingManager:
                 lost, len(histories) - len(lost),
             )
         reader = self._make_client()
-        shm_key, nbytes = reader.lookup(f"{self.namespace}W_g")
-        final = reader.attach_array(
-            f"{self.namespace}W_g", shm_key, nbytes // 4
-        ).read()
+        shm_key, nbytes = reader.lookup("W_g")
+        final = reader.attach_array("W_g", shm_key, nbytes // 4).read()
         return TrainingResult(
             histories=histories,
             final_global_weights=final,

@@ -809,24 +809,36 @@ def _serving_index(payload: dict) -> Dict[Tuple[int, int], dict]:
     }
 
 
+@dataclass
+class Comparison:
+    """What :func:`compare` judged: how many cells, and which regressed."""
+
+    compared: int
+    regressions: List[Regression]
+
+
 def compare(
     current: dict, baseline: dict, max_regression: float = 2.0
-) -> List[Regression]:
+) -> Comparison:
     """Cells in ``current`` slower than ``max_regression`` x the baseline.
 
     Cells present in only one payload are skipped (sweeps may differ —
     e.g. a quick CI run against a full committed baseline); the gate
-    judges only directly comparable measurements.  Single-client cells
-    gate on p50; contention cells gate on p95-under-load.
+    judges only directly comparable measurements, and ``compared``
+    counts them so a caller can refuse a comparison of nothing.
+    Single-client cells gate on p50; contention cells gate on
+    p95-under-load.
     """
     if max_regression <= 0:
         raise ValueError("max_regression must be positive")
+    compared = 0
     baseline_cells = _index(baseline)
     regressions: List[Regression] = []
     for key, cell in _index(current).items():
         base = baseline_cells.get(key)
         if base is None:
             continue
+        compared += 1
         if cell["p50_s"] > base["p50_s"] * max_regression:
             regressions.append(
                 Regression(
@@ -842,6 +854,7 @@ def compare(
         base = baseline_contention.get(ckey)
         if base is None:
             continue
+        compared += 1
         if cell["p95_s"] > base["p95_s"] * max_regression:
             regressions.append(
                 Regression(
@@ -858,6 +871,7 @@ def compare(
         base = baseline_serving.get(skey)
         if base is None:
             continue
+        compared += 1
         # Fan-out cells gate on p95 like the contention sweep: it is the
         # tail a replica-side locking regression ruins first.
         if cell["p95_s"] > base["p95_s"] * max_regression:
@@ -874,6 +888,7 @@ def compare(
     base_tenancy = baseline.get("tenancy")
     cur_tenancy = current.get("tenancy")
     if base_tenancy and cur_tenancy:
+        compared += 1
         # The fairness gate: the small tenant's contended READ p95 must
         # not regress past the factor against the committed baseline.
         if (
@@ -891,7 +906,7 @@ def compare(
                 )
             )
     regressions.sort(key=lambda r: r.factor, reverse=True)
-    return regressions
+    return Comparison(compared=compared, regressions=regressions)
 
 
 def format_table(payload: dict) -> str:

@@ -160,7 +160,7 @@ class SMBClient:
     ) -> None:
         self._transport = transport
         #: Namespace this client's name-based ops resolve in.  The
-        #: transport carries it on the wire (``SMB2`` hello); this copy
+        #: transport carries it on the wire (the hello); this copy
         #: is informational — shown in telemetry and admin tooling.
         self.tenant = tenant
         self._telemetry = telemetry

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import SMBError
-from .memory import DEFAULT_TENANT
 from .protocol import HEADER_FORMAT, HEADER_SIZE, Message, Op
 
 logger = logging.getLogger(__name__)
@@ -150,10 +149,6 @@ class SegmentImage:
     data: np.ndarray  # uint8 bytes
     version: int
     owner: str = ""
-    #: Owning namespace, carried explicitly because the qualified name
-    #: alone is ambiguous: a legacy default-tenant name like
-    #: ``"job1/W_g"`` is indistinguishable from tenant ``job1``'s ``W_g``.
-    tenant: str = DEFAULT_TENANT
 
 
 @dataclass
@@ -238,7 +233,6 @@ class DurabilityStore:
                     "version": seg.version,
                     "owner": seg.owner,
                     "nbytes": int(seg.data.nbytes),
-                    "tenant": seg.tenant,
                 }
                 for seg in image.segments
             ],
@@ -343,9 +337,6 @@ def _load_snapshot(path: Path) -> PoolImage:
                 data=data,
                 version=int(entry["version"]),
                 owner=str(entry.get("owner", "")),
-                # Pre-tenancy snapshots carry no tenant key; everything
-                # they hold lived in the implicit default namespace.
-                tenant=str(entry.get("tenant", DEFAULT_TENANT)),
             ))
     return PoolImage(
         capacity=int(meta["capacity"]),
@@ -354,9 +345,7 @@ def _load_snapshot(path: Path) -> PoolImage:
         shm_minted=int(meta["shm_minted"]),
         access_minted=int(meta["access_minted"]),
         segments=segments,
-        # Pre-tenancy snapshots carry no grants; they restore as a pool
-        # holding only the implicit default namespace.
-        tenants=[dict(entry) for entry in meta.get("tenants", [])],
+        tenants=[dict(entry) for entry in meta["tenants"]],
     )
 
 
@@ -392,23 +381,11 @@ def _apply_record(
     by_key: Dict[int, SegmentImage],
 ) -> None:
     if record.op is Op.CREATE:
-        payload = bytes(record.payload)
-        # ``offset`` carries the byte length of the ``"<tenant>/"``
-        # prefix in the qualified name (0 = default namespace).  Replay
-        # must not *parse* the name: a legacy default-tenant name may
-        # itself contain ``/`` (the old client-side job-prefix
-        # convention).  Pre-tenancy records have offset 0 and land in
-        # the default namespace unchanged.
-        tenant = (
-            payload[:record.offset - 1].decode()
-            if record.offset else DEFAULT_TENANT
-        )
         seg = SegmentImage(
-            name=payload.decode(),
+            name=bytes(record.payload).decode(),
             shm_key=record.key,
             data=np.zeros(record.count, dtype=np.uint8),
             version=0,
-            tenant=tenant,
         )
         image.segments.append(seg)
         by_key[seg.shm_key] = seg

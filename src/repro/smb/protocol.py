@@ -48,14 +48,15 @@ HEADER_SIZE = struct.calcsize(HEADER_FORMAT)
 
 #: Magic bytes every connection opens with, so a stray client that connects
 #: to the wrong port fails immediately instead of hanging mid-protocol.
-#: A bare ``SMB1`` hello lands the connection in the legacy ``default``
-#: tenant; ``SMB2`` is followed by a tenant-name record (u16 length +
-#: UTF-8 bytes) that scopes every name-based op on the connection.
-HELLO = b"SMB1"
-HELLO_TENANT = b"SMB2"
+#: The magic is followed by a tenant-name record (u16 length + UTF-8
+#: bytes) that scopes every name-based op on the connection.
+HELLO = b"SMB2"
 
-#: Length prefix of the tenant-name record that follows ``SMB2``.
+#: Length prefix of the tenant-name record that follows the magic.
 TENANT_LEN_STRUCT = struct.Struct("!H")
+
+#: Bytes of the handshake before the tenant name: magic + length prefix.
+HELLO_PREFIX_SIZE = len(HELLO) + TENANT_LEN_STRUCT.size
 
 #: ``WAIT_UPDATE`` timeout wire encoding, carried in the ``scale`` slot.
 #: ``scale > 0`` is a bounded wait in seconds; ``scale == 0`` waits
@@ -86,22 +87,25 @@ MAX_TENANT_NAME = 255
 
 
 def encode_hello(tenant: str = DEFAULT_TENANT) -> bytes:
-    """The handshake bytes a client opens a connection with.
-
-    The default tenant sends the bare 4-byte ``SMB1`` magic — exactly
-    what every pre-tenancy client sends — so old clients and new servers
-    (and vice versa) interoperate without a flag day.
-    """
-    if tenant == DEFAULT_TENANT:
-        return HELLO
+    """The handshake bytes a client opens a connection with."""
     encoded = tenant.encode("utf-8")
     if not encoded or len(encoded) > MAX_TENANT_NAME or "/" in tenant:
         raise SMBProtocolError(f"invalid tenant name: {tenant!r}")
-    return HELLO_TENANT + TENANT_LEN_STRUCT.pack(len(encoded)) + encoded
+    return HELLO + TENANT_LEN_STRUCT.pack(len(encoded)) + encoded
+
+
+def decode_hello_prefix(prefix: bytes) -> int:
+    """Validate the magic + length prefix; return the tenant-name length."""
+    if prefix[:len(HELLO)] != HELLO:
+        raise SMBProtocolError(f"bad protocol hello: {prefix[:len(HELLO)]!r}")
+    (length,) = TENANT_LEN_STRUCT.unpack(prefix[len(HELLO):])
+    if length == 0 or length > MAX_TENANT_NAME:
+        raise SMBProtocolError(f"bad tenant record length: {length}")
+    return length
 
 
 def decode_tenant_record(raw: bytes) -> str:
-    """Validate + decode the name bytes of an ``SMB2`` tenant record."""
+    """Validate + decode the name bytes of a hello's tenant record."""
     try:
         tenant = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -117,16 +121,7 @@ def read_hello(sock: socket.socket) -> str:
     The blocking-socket counterpart of the event-loop server's
     incremental hello parser, used by the shared-memory doorbell server.
     """
-    magic = recv_exact(sock, len(HELLO))
-    if magic == HELLO:
-        return DEFAULT_TENANT
-    if magic != HELLO_TENANT:
-        raise SMBProtocolError(f"bad protocol hello: {magic!r}")
-    (length,) = TENANT_LEN_STRUCT.unpack(
-        recv_exact(sock, TENANT_LEN_STRUCT.size)
-    )
-    if length == 0 or length > MAX_TENANT_NAME:
-        raise SMBProtocolError(f"bad tenant record length: {length}")
+    length = decode_hello_prefix(recv_exact(sock, HELLO_PREFIX_SIZE))
     return decode_tenant_record(recv_exact(sock, length))
 
 #: Payload types a message may carry.  ``memoryview`` payloads enable the

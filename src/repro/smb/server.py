@@ -71,13 +71,12 @@ from .memory import (
 from .protocol import (
     HEADER_FORMAT,
     HEADER_SIZE,
-    HELLO,
-    HELLO_TENANT,
+    HELLO_PREFIX_SIZE,
     MAX_TENANT_NAME,
-    TENANT_LEN_STRUCT,
     Message,
     Op,
     Status,
+    decode_hello_prefix,
     decode_tenant_record,
 )
 
@@ -241,7 +240,6 @@ class SMBServer:
                 data=seg.data,
                 version=seg.version,
                 owner=seg.owner,
-                tenant=seg.tenant,
             )
         self.pool.advance_keys(image.shm_minted, image.access_minted)
         self.epoch = image.epoch + 1
@@ -270,7 +268,6 @@ class SMBServer:
                 data=segment.buffer.copy(),
                 version=segment.version,
                 owner=segment.owner,
-                tenant=segment.tenant,
             )
             for segment in self.pool.segments().values()
         ]
@@ -436,23 +433,19 @@ class SMBServer:
         tenant: str = DEFAULT_TENANT,
     ) -> Message:
         if req.op is Op.CREATE:
-            name = bytes(req.payload).decode()
             with self._mutation_guard():
-                segment = self.pool.create(name, req.count, tenant=tenant)
-                # Journal the *qualified* name: replay must land the
-                # segment back in its namespace, not in ``default``.
-                # The otherwise-unused ``offset`` slot carries the byte
-                # length of the ``"<tenant>/"`` prefix (0 = default), so
-                # replay never parses a name — a legacy default-tenant
-                # name like ``"job1/W_g"`` must not be misread as tenant
-                # ``job1``'s ``W_g``.  Pre-tenancy records replay with
-                # offset 0, i.e. into the default namespace, unchanged.
-                prefix = (
-                    0 if tenant == DEFAULT_TENANT
-                    else len(tenant.encode()) + 1
-                )
+                try:
+                    segment = self.pool.create(
+                        bytes(req.payload).decode(), req.count, tenant=tenant
+                    )
+                except ValueError as exc:
+                    # A bad name or size is the caller's fault: answer
+                    # it like any other refused op, never crash.
+                    raise SMBProtocolError(f"rejected CREATE: {exc}") from exc
+                # Journal the qualified name; replay recovers the
+                # tenant from it with ``MemoryPool.split_name``.
                 self._journal(Message(op=Op.CREATE, key=segment.shm_key,
-                                      count=req.count, offset=prefix,
+                                      count=req.count,
                                       payload=segment.name.encode()))
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op, key=segment.shm_key)
@@ -604,14 +597,9 @@ class SMBServer:
             self.stats.record(req.op, tenant=tenant)
             # Scoped to the caller's namespace; names are reported
             # tenant-local (the names the tenant created them under).
-            # Strip this tenant's own prefix rather than parsing — a
-            # legacy default-tenant name may itself contain ``/``.
-            prefix_len = (
-                0 if tenant == DEFAULT_TENANT else len(tenant) + 1
-            )
             inventory = [
                 {
-                    "name": segment.name[prefix_len:],
+                    "name": MemoryPool.split_name(segment.name)[1],
                     "nbytes": segment.size,
                     "version": segment.version,
                     "owner": segment.owner,
@@ -703,10 +691,9 @@ class _Connection:
         self.peer = peer
         self.state = _Connection.HELLO
         self.have = 0
-        self.need = len(HELLO)
+        self.need = HELLO_PREFIX_SIZE
         self.hbuf = bytearray(
-            max(HEADER_SIZE,
-                len(HELLO) + TENANT_LEN_STRUCT.size + MAX_TENANT_NAME)
+            max(HEADER_SIZE, HELLO_PREFIX_SIZE + MAX_TENANT_NAME)
         )
         self.tenant = DEFAULT_TENANT
         # Pooled per-connection buffers: request payloads (WRITE data)
@@ -1183,43 +1170,26 @@ class TcpSMBServer:
     def _advance_hello(self, conn: _Connection) -> bool:
         """Advance the handshake state machine one completed read.
 
-        A bare ``SMB1`` magic lands the connection in the ``default``
-        tenant (every pre-tenancy client); ``SMB2`` extends the
-        handshake by a u16 length and that many UTF-8 tenant-name bytes,
-        parsed incrementally by growing ``conn.need``.  Returns ``False``
+        The magic and u16 name length arrive first; the UTF-8 tenant
+        name is then parsed by growing ``conn.need``.  Returns ``False``
         once the connection was rejected (and closed).
         """
-        prefix = len(HELLO) + TENANT_LEN_STRUCT.size
-        if conn.need == len(HELLO):
-            magic = bytes(conn.hbuf[:len(HELLO)])
-            if magic == HELLO:
-                conn.state = _Connection.HEADER
-                conn.have, conn.need = 0, HEADER_SIZE
-                return True
-            if magic == HELLO_TENANT:
-                conn.need = prefix
-                return True
-        elif conn.need == prefix:
-            (length,) = TENANT_LEN_STRUCT.unpack(
-                conn.hbuf[len(HELLO):prefix]
-            )
-            if 0 < length <= MAX_TENANT_NAME:
-                conn.need = prefix + length
-                return True
-        else:
-            try:
-                conn.tenant = decode_tenant_record(
-                    bytes(conn.hbuf[prefix:conn.need])
+        try:
+            if conn.need == HELLO_PREFIX_SIZE:
+                conn.need += decode_hello_prefix(
+                    bytes(conn.hbuf[:HELLO_PREFIX_SIZE])
                 )
-            except SMBProtocolError:
-                pass  # falls through to the rejection below
-            else:
-                conn.state = _Connection.HEADER
-                conn.have, conn.need = 0, HEADER_SIZE
                 return True
-        logger.warning("rejecting non-SMB client from %s", conn.peer)
-        self._close_conn(conn)
-        return False
+            conn.tenant = decode_tenant_record(
+                bytes(conn.hbuf[HELLO_PREFIX_SIZE:conn.need])
+            )
+        except SMBProtocolError:
+            logger.warning("rejecting non-SMB client from %s", conn.peer)
+            self._close_conn(conn)
+            return False
+        conn.state = _Connection.HEADER
+        conn.have, conn.need = 0, HEADER_SIZE
+        return True
 
     def _begin_request(self, conn: _Connection, payload: "bytes | memoryview") -> None:
         try:

@@ -132,7 +132,7 @@ class TestExecution:
         # Self-comparison never regresses...
         code = main(args + ["--compare", str(out_path)])
         assert code == 0
-        assert "no regressions" in capsys.readouterr().out
+        assert "no regressions in 3 cell(s)" in capsys.readouterr().out
 
         # ...but an impossibly fast baseline trips the gate.
         fast = dict(payload)
@@ -145,6 +145,28 @@ class TestExecution:
         code = main(args + ["--compare", str(baseline)])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_smb_bench_compare_of_nothing_fails(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "BENCH_smb.json"
+        args = [
+            "smb", "bench", "--transports", "inproc", "--sizes", "4096",
+            "--ops", "READ", "--iterations", "3", "--out", str(out_path),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        # Rename the only cell: the baseline no longer matches anything
+        # this run measures, so the gate must refuse to pass.
+        payload = json.loads(out_path.read_text())
+        payload["cells"] = [
+            dict(cell, op="READ-renamed") for cell in payload["cells"]
+        ]
+        baseline = tmp_path / "renamed.json"
+        baseline.write_text(json.dumps(payload))
+        code = main(args + ["--compare", str(baseline)])
+        assert code == 1
+        assert "NOTHING COMPARED" in capsys.readouterr().out
 
     def test_smb_bench_flag_parsing(self):
         args = build_parser().parse_args(

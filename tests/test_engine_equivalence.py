@@ -1,8 +1,8 @@
 """The refactored training core is behaviorally identical to its ancestors.
 
-The engine/strategy/driver refactor replaced ``ShmCaffeWorker`` and
-``HybridWorker``'s welded-in loops with one ``TrainingEngine`` and
-pluggable ``ExchangeStrategy`` implementations.  These tests pin the
+The engine/strategy/driver refactor replaced the SEASGD and HSGD worker
+classes' welded-in loops with one ``TrainingEngine`` and pluggable
+``ExchangeStrategy`` implementations.  These tests pin the
 refactor down:
 
 * **golden equivalence** — seeded runs must reproduce, bit for bit, the
@@ -10,7 +10,7 @@ refactor down:
   for ShmCaffe-A (overlap on/off), ShmCaffe-H, and the stale-read
   ablation;
 * **lr canonicalization** — every platform records the learning rate
-  actually applied at that step (``HybridWorker`` used to derive it
+  actually applied at that step (the HSGD worker used to derive it
   separately);
 * **validation** — misconfigurations that used to be silently ignored now
   raise;
@@ -34,10 +34,10 @@ from repro.core import (
     OverlapDriver,
     SEASGDExchange,
     ShmCaffeConfig,
-    ShmCaffeWorker,
     SMBAsgdExchange,
     StaleReadExchange,
     TerminationCriterion,
+    make_exchange,
 )
 from repro.smb import (
     ParameterBuffer,
@@ -50,8 +50,8 @@ from repro.smb.faults import FaultPlan
 
 from .test_netspec import small_spec
 
-#: Per-iteration losses captured from the pre-refactor ShmCaffeWorker /
-#: HybridWorker classes (commit 8034117) under the exact seeded setup of
+#: Per-iteration losses captured from the pre-refactor SEASGD / HSGD
+#: worker classes (commit 8034117) under the exact seeded setup of
 #: ``run_job`` below.  The refactored engine must reproduce them exactly.
 GOLDEN_LOSSES = {
     "a": [[1.9139208793640137, 1.4326462745666504, 1.5501587390899658,
@@ -135,7 +135,7 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_hybrid_matches_prerefactor(self, overlap):
-        # The pre-refactor HybridWorker always exchanged synchronously;
+        # The pre-refactor HSGD worker always exchanged synchronously;
         # with a single group the overlapped root is provably identical
         # (the flush is awaited before the only reader's next read), so
         # one golden pins both modes.
@@ -172,7 +172,7 @@ class TestLearningRateCanonicalization:
         self.check_records(result.histories)
 
     def test_hybrid_records_applied_lr(self):
-        # The pre-refactor HybridWorker derived this value through a
+        # The pre-refactor HSGD worker derived this value through a
         # separate formula; the engine now records the strategy's
         # stats["lr"] everywhere.
         result = run_job(
@@ -200,7 +200,7 @@ class TestValidation:
             ShmCaffeConfig(stale_global_read=True, algorithm="smb_asgd")
 
     def test_stale_read_with_groups_rejected(self):
-        # HybridWorker used to drop the ablation on the floor.
+        # The pre-refactor HSGD worker dropped the ablation on the floor.
         with pytest.raises(ValueError, match="stale_global_read"):
             DistributedTrainingManager(
                 spec_factory=lambda: small_spec(batch=4),
@@ -223,24 +223,15 @@ class TestValidation:
             )
 
     def test_unknown_algorithm_rejected_at_worker_build(self):
-        from repro.caffe import Net
-
         server = SMBServer(capacity=1 << 22)
         client = SMBClient.in_process(server)
-        net = Net(small_spec(batch=4), seed=0)
-        from repro.caffe.params import FlatParams
-
-        count = FlatParams(net).count
-        global_array = client.create_array("W_g", count)
-        increment = client.create_array("dW_0", count)
+        global_array = client.create_array("W_g", 8)
+        increment = client.create_array("dW_0", 8)
         with pytest.raises(ValueError, match="unknown exchange algorithm"):
-            ShmCaffeWorker(
-                rank=0,
-                net=net,
-                config=ShmCaffeConfig(algorithm="definitely_not_real"),
+            make_exchange(
+                ShmCaffeConfig(algorithm="definitely_not_real"),
                 global_weights=global_array,
                 increment_buffer=increment,
-                batches=iter([]),
             )
 
 

@@ -6,7 +6,8 @@ import pytest
 from repro.caffe import Net, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
 from repro.core.config import ShmCaffeConfig
-from repro.core.worker import ShmCaffeWorker
+from repro.core.engine import TrainingEngine
+from repro.core.exchange import make_exchange
 from repro.perfmodel import model_profile, shmcaffe_a, shmcaffe_multi_server
 from repro.smb import (
     SMBClient,
@@ -142,17 +143,19 @@ class TestWorkerOnShardedBuffers:
         global_w.write(flat.get_vector())
         delta = create_sharded_array(clients, "dW_0", flat.count)
 
-        worker = ShmCaffeWorker(
+        config = ShmCaffeConfig(
+            solver=SolverConfig(base_lr=0.05, momentum=0.9),
+            moving_rate=0.5,
+            max_iterations=6,
+        )
+        worker = TrainingEngine(
             rank=0,
             net=net,
-            config=ShmCaffeConfig(
-                solver=SolverConfig(base_lr=0.05, momentum=0.9),
-                moving_rate=0.5,
-                max_iterations=6,
-            ),
-            global_weights=global_w,
-            increment_buffer=delta,
+            config=config,
             batches=dataset.minibatches(4, seed=1),
+            strategy=make_exchange(
+                config, global_weights=global_w, increment_buffer=delta
+            ),
         )
         history = worker.run()
         assert history.completed_iterations == 6

@@ -7,10 +7,13 @@ from repro.smb import (
     ControlBlock,
     NotificationTimeout,
     SegmentRangeError,
+    ShmSMBServer,
     SMBClient,
     SMBServer,
+    TcpSMBServer,
     UnknownKeyError,
 )
+from repro.smb.errors import SMBProtocolError
 
 
 @pytest.fixture()
@@ -158,3 +161,38 @@ class TestControlBlock:
         view = ControlBlock.attach(slave, "ctl", control.shm_key, 2)
         view.publish_progress(1, 42)
         np.testing.assert_array_equal(control.read_progress(), [0, 42])
+
+
+@pytest.fixture(params=["inproc", "tcp", "shm"])
+def any_client(request, tmp_path):
+    """One client per transport, against a fresh server."""
+    if request.param == "inproc":
+        yield SMBClient.in_process(SMBServer(capacity=1 << 20))
+        return
+    if request.param == "tcp":
+        server = TcpSMBServer(capacity=1 << 20).start()
+        client = SMBClient.connect(server.address)
+    else:
+        server = ShmSMBServer(path=tmp_path / "smb.sock", capacity=1 << 20)
+        server.start()
+        client = SMBClient.connect_local(tmp_path / "smb.sock")
+    try:
+        yield client
+    finally:
+        client.close()
+        server.stop()
+
+
+class TestMalformedCreate:
+    @pytest.mark.parametrize(
+        "name, nbytes", [("a/b", 64), ("w", 0), ("w", -8)]
+    )
+    def test_rejected_with_a_typed_error_on_every_transport(
+        self, any_client, name, nbytes
+    ):
+        with pytest.raises(SMBProtocolError, match="rejected CREATE"):
+            any_client.create_buffer(name, nbytes)
+        # The connection survived: the next request is served on it.
+        shm_key = any_client.create_buffer("ok", 64)
+        assert any_client.lookup("ok") == (shm_key, 64)
+        assert getattr(any_client._transport, "reconnects", 0) == 0

@@ -30,10 +30,10 @@ from repro.smb.errors import NotificationTimeout, SMBError
 from repro.smb.protocol import (
     HEADER_FORMAT,
     HEADER_SIZE,
-    HELLO,
     Message,
     Op,
     Status,
+    encode_hello,
 )
 
 
@@ -41,7 +41,7 @@ def _raw_connect(address):
     """A bare protocol connection, bypassing SMBClient (and its
     client-side wait slicing / retry machinery)."""
     sock = socket.create_connection(address, timeout=10.0)
-    sock.sendall(HELLO)
+    sock.sendall(encode_hello())
     return sock
 
 
@@ -246,14 +246,14 @@ class TestEventStyleWaits:
 
 class TestDispatchRobustness:
     def test_malformed_inline_frame_costs_one_connection(self):
-        """A CREATE whose name payload is not UTF-8 raises past the
+        """A LOOKUP whose name payload is not UTF-8 raises past the
         SMBError net inside dispatch.  That must close the offending
         connection only — never crash the event loop (which used to take
         the whole server down for every client)."""
         with TcpSMBServer(capacity=1 << 22) as server:
             bad = _raw_connect(server.address)
             bad.sendall(Message(
-                op=Op.CREATE, count=64, payload=b"\xff\xfe\xfd",
+                op=Op.LOOKUP, payload=b"\xff\xfe\xfd",
             ).encode())
             bad.settimeout(5.0)
             assert bad.recv(1) == b"", "expected the connection severed"

@@ -12,7 +12,7 @@ layer contracts:
   :class:`QuotaExceededError` that survives the TCP hop — and a denial
   never perturbs a neighbour tenant's bytes (bit-exact check);
 * all three transports (in-process, TCP, local shm) negotiate a tenant,
-  and a legacy ``SMB1`` client still lands in ``default``;
+  and a client that names none lands in ``default``;
 * small control ops answered inline on the event loop survive malformed
   frames (one bad connection never kills the server);
 * tenants and quotas come back after a crash, from snapshot or journal.
@@ -33,13 +33,12 @@ from repro.smb import (
     ShmSMBServer,
     TcpSMBServer,
 )
-from repro.smb.errors import SegmentExistsError, SMBProtocolError
+from repro.smb.errors import SMBProtocolError
 from repro.smb.memory import MemoryPool
 from repro.smb.protocol import (
     HEADER_FORMAT,
     HEADER_SIZE,
     HELLO,
-    HELLO_TENANT,
     MAX_TENANT_NAME,
     TENANT_LEN_STRUCT,
     Message,
@@ -71,8 +70,6 @@ class TestNamespaceScoping:
         assert list(pool.segments(tenant="bob")) == ["bob/w"]
 
     def test_default_tenant_keeps_bare_names(self):
-        # Pre-tenancy journals store bare names; the default namespace
-        # must stay bit-compatible with them.
         pool = MemoryPool(capacity=1 << 16)
         segment = pool.create("w", 64)
         assert segment.name == "w"
@@ -84,21 +81,15 @@ class TestNamespaceScoping:
         with pytest.raises(ValueError):
             pool.create("a/b", 64, tenant="alice")
 
-    def test_default_tenant_keeps_legacy_slash_names(self):
-        # The pre-tenancy elastic-job convention namespaces segments
-        # client-side ("job1/W_g"); those deployments run in the default
-        # tenant and must keep working unchanged.
-        pool = MemoryPool(capacity=1 << 16)
-        segment = pool.create("job1/W_g", 64)
-        assert segment.tenant == DEFAULT_TENANT
-        assert pool.by_name("job1/W_g").name == "job1/W_g"
-        assert "job1/W_g" in pool.segments(tenant=DEFAULT_TENANT)
-
     def test_legacy_name_colliding_with_tenant_namespace_is_loud(self):
+        # A default-tenant name that spells another tenant's qualified
+        # name is refused: "/" is the separator in every namespace, so
+        # a qualified name always splits back exactly.
         pool = MemoryPool(capacity=1 << 16)
-        pool.create("w", 64, tenant="job1")
-        with pytest.raises(SegmentExistsError):
-            pool.create("job1/w", 64)  # same directory entry
+        segment = pool.create("w", 64, tenant="job1")
+        with pytest.raises(ValueError):
+            pool.create("job1/w", 64)
+        assert MemoryPool.split_name(segment.name) == ("job1", "w")
 
     def test_shm_keys_are_unscoped_capabilities(self):
         # Like an RDMA rkey: possession is authorisation.  Tenancy scopes
@@ -218,14 +209,14 @@ class TestHandshake:
         server = TcpSMBServer(capacity=1 << 20).start()
         try:
             alice = SMBClient.connect(server.address, tenant="alice")
-            legacy = SMBClient.connect(server.address)  # SMB1 → default
+            plain = SMBClient.connect(server.address)  # lands in default
             a = alice.create_array("w", 16)
-            d = legacy.create_array("w", 16)
+            d = plain.create_array("w", 16)
             assert a.shm_key != d.shm_key
             assert alice.lookup("w")[0] == a.shm_key
-            assert legacy.lookup("w")[0] == d.shm_key
+            assert plain.lookup("w")[0] == d.shm_key
             alice.close()
-            legacy.close()
+            plain.close()
         finally:
             server.stop()
 
@@ -249,13 +240,15 @@ class TestHandshake:
 
     def test_hello_frame_round_trip(self):
         frame = encode_hello("alice")
-        assert frame[:len(HELLO_TENANT)] == HELLO_TENANT
+        assert frame[:len(HELLO)] == HELLO
         (length,) = TENANT_LEN_STRUCT.unpack(
-            frame[len(HELLO_TENANT):len(HELLO_TENANT) + 2]
+            frame[len(HELLO):len(HELLO) + 2]
         )
-        assert frame[len(HELLO_TENANT) + 2:].decode() == "alice"
+        assert frame[len(HELLO) + 2:].decode() == "alice"
         assert length == len("alice")
-        assert encode_hello(DEFAULT_TENANT) == HELLO  # legacy frame
+        # The default tenant sends its name like any other.
+        assert encode_hello() == encode_hello(DEFAULT_TENANT)
+        assert encode_hello().endswith(DEFAULT_TENANT.encode())
 
     def test_oversized_tenant_name_rejected(self):
         with pytest.raises(SMBProtocolError):
@@ -264,9 +257,9 @@ class TestHandshake:
 
 # -- event-loop inline dispatch (satellite: crash-guard coverage) ------------
 
-def _raw_connect(address, hello=HELLO):
+def _raw_connect(address):
     sock = socket.create_connection(address, timeout=10.0)
-    sock.sendall(hello)
+    sock.sendall(encode_hello())
     return sock
 
 
@@ -352,8 +345,8 @@ class TestInlineDispatch:
                 sock.close()
 
             assert_rejected(b"HTTP/1.1 GET /")
-            # A zero-length SMB2 tenant record is also rejected.
-            assert_rejected(HELLO_TENANT + TENANT_LEN_STRUCT.pack(0))
+            # A zero-length tenant record is also rejected.
+            assert_rejected(HELLO + TENANT_LEN_STRUCT.pack(0))
             healthy = SMBClient.connect(server.address)
             healthy.create_buffer("alive", 8)
             healthy.close()
@@ -409,32 +402,27 @@ class TestTenantRecovery:
         assert grants["alice"].quota == 1024
         assert grants["bob"].quota == 256
 
-    def test_legacy_slash_names_recover_into_default_namespace(self, tmp_path):
-        # The elastic-job convention prefixes default-tenant segment
-        # names client-side ("job1/W_g").  Replay must not misread the
-        # prefix as a tenant — even when a tenant of that very name
-        # exists — because CREATE records carry the tenant-prefix length
-        # out of band instead of parsing the qualified name.
+    def test_tenant_segments_recover_into_their_namespace(self, tmp_path):
+        # Replay parses the tenant from the journaled qualified name, so
+        # a tenant's segment never lands in ``default`` (or vice versa).
         first = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
-        # Auto-vivified namespace (no explicit create_tenant) whose name
-        # collides with the legacy prefix; created *first* so a
-        # parse-based replay would have every chance to misattribute.
         with SMBClient.in_process(first, tenant="job1") as job1:
-            job1.create_buffer("dW", 32)
-        with SMBClient.in_process(first) as legacy:
-            legacy.create_buffer("job1/W_g", 64)
+            job1.create_buffer("W_g", 32)
+        with SMBClient.in_process(first) as plain:
+            plain.create_buffer("W_g", 64)
         self._crash(first)
 
         second = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
         by_name = second.pool.segments()
-        assert by_name["job1/W_g"].tenant == DEFAULT_TENANT
+        assert by_name["job1/W_g"].tenant == "job1"
+        assert by_name["W_g"].tenant == DEFAULT_TENANT
         grants = second.pool.tenants()
         assert grants[DEFAULT_TENANT].used == 64
         assert grants["job1"].used == 32
 
     def test_pre_tenancy_journal_still_recovers(self, tmp_path):
-        # A journal written with no TENANT_CREATE records (PR-7 format)
-        # must recover into the default namespace unchanged.
+        # A journal with no TENANT_CREATE records recovers into the
+        # default namespace.
         first = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
         with SMBClient.in_process(first) as client:
             key = client.create_buffer("w", 64)

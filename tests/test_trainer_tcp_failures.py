@@ -1,5 +1,7 @@
 """End-to-end TCP training and failure-injection tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,15 @@ from repro.core import (
     ShmCaffeConfig,
     TerminationCriterion,
 )
-from repro.core.worker import ShmCaffeWorker, WorkerError
-from repro.smb import CapacityError, SMBClient, SMBServer, TcpSMBServer
+from repro.core.engine import TrainingEngine, WorkerError
+from repro.core.exchange import make_exchange
+from repro.smb import (
+    CapacityError,
+    MembershipRegistry,
+    SMBClient,
+    SMBServer,
+    TcpSMBServer,
+)
 
 from .test_netspec import small_spec
 
@@ -54,22 +63,69 @@ class TestTcpTrainer:
         assert all(h.completed_iterations >= 1 for h in result.histories)
         assert np.isfinite(result.final_global_weights).all()
 
-    def test_namespaced_jobs_share_one_server(self, dataset):
-        """Two sequential jobs coexist on one server via namespaces."""
+    def test_namespaced_jobs_share_one_server(self, dataset, tmp_path):
+        """Two tenant jobs run side by side on one server and one
+        registry; a late joiner finds its own job's registry entry."""
+        registry_dir = str(tmp_path / "registry")
         with TcpSMBServer(capacity=1 << 26) as server:
-            for namespace in ("job1/", "job2/"):
-                manager = DistributedTrainingManager(
-                    spec_factory=lambda: small_spec(batch=4),
-                    config=make_config(iterations=3),
-                    dataset=dataset,
-                    batch_size=4,
-                    num_workers=2,
-                    server_address=server.address,
-                    namespace=namespace,
-                    seed=1,
-                )
-                result = manager.run(timeout=300)
-                assert result.histories[0].completed_iterations >= 3
+            common = dict(
+                spec_factory=lambda: small_spec(batch=4),
+                dataset=dataset,
+                batch_size=4,
+                num_workers=2,
+                server_address=server.address,
+                registry_dir=registry_dir,
+                seed=1,
+            )
+            job1 = DistributedTrainingManager(
+                config=make_config(iterations=3), tenant="job1", **common
+            )
+            job2 = DistributedTrainingManager(
+                config=ShmCaffeConfig(
+                    solver=SolverConfig(base_lr=0.05, momentum=0.9),
+                    moving_rate=0.2,
+                    max_iterations=20,
+                    termination=TerminationCriterion.AVERAGE_ITERATIONS,
+                ),
+                tenant="job2", elastic=True, max_workers=3, **common
+            )
+            results = {}
+            joiners = []
+
+            def run(name, manager):
+                results[name] = manager.run(timeout=300)
+
+            threads = [
+                threading.Thread(target=run, args=("job1", job1)),
+                threading.Thread(target=run, args=("job2", job2)),
+                threading.Thread(
+                    target=lambda: joiners.append(
+                        job2.spawn_worker(timeout=60)
+                    )
+                ),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+
+            # Each tenant holds its own plainly named W_g.
+            keys = {}
+            for tenant in ("job1", "job2"):
+                with SMBClient.connect(server.address, tenant=tenant) as c:
+                    keys[tenant] = c.lookup("W_g")[0]
+            assert keys["job1"] != keys["job2"]
+
+        assert results["job1"].histories[0].completed_iterations >= 3
+        (joiner,) = joiners
+        assert joiner.error is None
+        assert joiner.slot == 2  # the launch fleet holds slots 0 and 1
+        assert len(results["job2"].histories) == 3
+        view = MembershipRegistry(registry_dir).read()
+        assert view.namespaces() == ["job1", "job2"]
+        assert view.entry("job2").job["count"] == (
+            results["job2"].final_global_weights.size
+        )
 
     def test_hybrid_over_tcp(self, dataset):
         with TcpSMBServer(capacity=1 << 26) as server:
@@ -98,13 +154,15 @@ class TestFailureInjection:
         global_w = client.create_array("W_g", flat.count)
         global_w.write(flat.get_vector())
         delta = client.create_array("dW_0", flat.count)
-        worker = ShmCaffeWorker(
+        config = make_config(iterations=10)
+        worker = TrainingEngine(
             rank=0,
             net=net,
-            config=make_config(iterations=10),
-            global_weights=global_w,
-            increment_buffer=delta,
+            config=config,
             batches=dataset.minibatches(4, seed=1),
+            strategy=make_exchange(
+                config, global_weights=global_w, increment_buffer=delta
+            ),
         )
         delta.free()  # sabotage the increment segment
         with pytest.raises(WorkerError, match="update thread failed"):

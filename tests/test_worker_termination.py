@@ -6,8 +6,9 @@ import pytest
 from repro.caffe import Net, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
 from repro.core.config import ShmCaffeConfig, TerminationCriterion
+from repro.core.engine import TrainingEngine, WorkerError
+from repro.core.exchange import make_exchange
 from repro.core.termination import TerminationCoordinator
-from repro.core.worker import ShmCaffeWorker, WorkerError
 from repro.smb import ControlBlock, SMBClient, SMBServer
 
 from .test_netspec import small_spec
@@ -18,6 +19,22 @@ def dataset():
     return SyntheticImageDataset(
         num_classes=4, image_size=8, train_per_class=30, test_per_class=5,
         noise=0.6, seed=2,
+    )
+
+
+def build_engine(rank, net, config, global_weights, increment_buffer,
+                 batches):
+    """A SEASGD worker: the engine driving the configured exchange."""
+    return TrainingEngine(
+        rank=rank,
+        net=net,
+        config=config,
+        batches=batches,
+        strategy=make_exchange(
+            config,
+            global_weights=global_weights,
+            increment_buffer=increment_buffer,
+        ),
     )
 
 
@@ -41,7 +58,7 @@ def make_worker(server, dataset, rank=0, overlap=True, iterations=5,
         overlap_updates=overlap,
         stale_global_read=stale,
     )
-    worker = ShmCaffeWorker(
+    worker = build_engine(
         rank=rank,
         net=net,
         config=config,
@@ -112,13 +129,14 @@ class TestWorker:
         initial_global = global_array.read()
         pushed = []
 
-        original = worker.increment_buffer.write
+        increment = worker.strategy.increment_buffer
+        original = increment.write
 
         def spy(values):
             pushed.append(np.array(values, copy=True))
             return original(values)
 
-        worker.increment_buffer.write = spy
+        increment.write = spy
         worker.run()
         drift = global_array.read() - initial_global
         np.testing.assert_allclose(
@@ -133,7 +151,7 @@ class TestWorker:
         bad_global = client.create_array("W_g_bad", flat_count + 1)
         increment = client.create_array("dW", flat_count)
         with pytest.raises(WorkerError):
-            ShmCaffeWorker(
+            build_engine(
                 rank=0,
                 net=net,
                 config=ShmCaffeConfig(),
