@@ -38,10 +38,12 @@ class ReLU(Layer):
     ) -> List[np.ndarray]:
         (top_diff,) = top_diffs
         (bottom,) = bottoms
-        grad = np.where(bottom > 0, 1.0, self.negative_slope).astype(
-            np.float32
+        if self.negative_slope == 0.0:
+            return [top_diff * (bottom > 0)]
+        slope = np.where(
+            bottom > 0, np.float32(1.0), np.float32(self.negative_slope)
         )
-        return [top_diff * grad]
+        return [top_diff * slope]
 
 
 @register_layer("Sigmoid")

@@ -470,13 +470,18 @@ class SMBServer:
         if req.op is Op.READ:
             segment = self.pool.by_access_key(req.key)
             data: "memoryview | bytes"
-            if out is not None and req.count <= len(out):
-                nbytes = segment.read_into(req.offset, out[:req.count])
-                data = out[:nbytes]
-            else:
-                data = segment.read(req.offset, req.count)
+            # The version must be that of the copied bytes: read it under
+            # the (re-entrant) segment lock the copy takes, so no WRITE
+            # can land in between and a cache key it with newer bytes.
+            with segment.lock:
+                if out is not None and req.count <= len(out):
+                    nbytes = segment.read_into(req.offset, out[:req.count])
+                    data = out[:nbytes]
+                else:
+                    data = segment.read(req.offset, req.count)
+                version = segment.version
             self.stats.record(req.op, len(data), tenant=tenant)
-            return Message(op=req.op, key=req.key, count=segment.version,
+            return Message(op=req.op, key=req.key, count=version,
                            payload=data)
 
         if req.op is Op.WRITE:

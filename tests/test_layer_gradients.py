@@ -86,6 +86,15 @@ class TestPoolingGradients:
         top = spec.pool("p", top, method="ave", kernel=3, stride=2, pad=1)
         check_net_gradients(finish(spec, top), inputs)
 
+    def test_ave_pool_ceil_clipped(self, inputs):
+        # 8x8, 3x3/s2, no pad, ceil mode: 4x4 out, and the last row and
+        # column of windows overhang the input by one, so they average
+        # over a clipped 3x2, 2x3 or 2x2 area.
+        spec = base_spec()
+        top = spec.conv("c", "data", 4, kernel=3, pad=1)
+        top = spec.pool("p", top, method="ave", kernel=3, stride=2)
+        check_net_gradients(finish(spec, top), inputs, samples_per_param=8)
+
 
 class TestActivationGradients:
     @pytest.mark.parametrize("layer_type", ["Sigmoid", "TanH"])

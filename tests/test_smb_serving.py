@@ -323,6 +323,76 @@ class TestReadCache:
             writer.close()
             reader.close()
 
+    @staticmethod
+    def _write_right_after_copy(monkeypatch, segment, method, writers):
+        """Make the segment's next ``method`` copy start a WRITE of 2.0s
+        from another thread and give it time to land before the READ
+        reports its version.  A READ that holds the segment lock across
+        copy and version read makes the WRITE wait instead."""
+        copy = getattr(segment, method)
+        fill = np.full(64, 2.0, dtype=np.float32).tobytes()
+
+        def copy_then_write(*args):
+            monkeypatch.setattr(segment, method, copy)
+            copied = copy(*args)
+            writer = threading.Thread(target=segment.write, args=(0, fill))
+            writers.append(writer)
+            writer.start()
+            writer.join(timeout=0.2)
+            return copied
+
+        monkeypatch.setattr(segment, method, copy_then_write)
+
+    def test_inproc_read_reports_the_copied_version(self, monkeypatch):
+        """READ on the ``Segment.read`` path: the cache entry for the
+        reply is keyed at the version of its bytes (write v filled the
+        array with v), even with a WRITE right after the copy."""
+        server = SMBServer(capacity=1 << 20)
+        cache = ReadCache(capacity_bytes=1 << 20)
+        writer = SMBClient.in_process(server)
+        reader = SMBClient.in_process(server, cache=cache)
+        writers = []
+        try:
+            array = writer.create_array("seg", 64)
+            array.write(np.full(64, 1.0, dtype=np.float32))
+            access = reader.attach(array.shm_key, 256)
+            segment = server.pool.by_shm_key(array.shm_key)
+            self._write_right_after_copy(
+                monkeypatch, segment, "read", writers
+            )
+            data = reader.read(access, 256)
+            for thread in writers:
+                thread.join(timeout=5.0)
+            assert np.all(np.frombuffer(data, dtype=np.float32) == 1.0)
+            assert segment.version == 2
+            assert list(cache._entries) == [(array.shm_key, 1, 256)]
+        finally:
+            writer.close()
+            reader.close()
+
+    def test_tcp_read_into_reports_the_copied_version(self, monkeypatch):
+        """READ on the ``Segment.read_into`` path (TCP): the version in
+        the reply is that of the bytes it carries."""
+        with TcpSMBServer(capacity=1 << 20) as server:
+            client = SMBClient.connect(server.address)
+            writers = []
+            try:
+                array = client.create_array("seg", 64)
+                array.write(np.full(64, 1.0, dtype=np.float32))
+                segment = server.core.pool.by_shm_key(array.shm_key)
+                self._write_right_after_copy(
+                    monkeypatch, segment, "read_into", writers
+                )
+                out = np.empty(64, dtype=np.float32)
+                version = client.read_into(array.access_key, out)
+                for thread in writers:
+                    thread.join(timeout=5.0)
+                assert writers, "the READ did not take the read_into path"
+                assert (version, out[0]) == (1, 1.0)
+                assert np.all(out == 1.0) and segment.version == 2
+            finally:
+                client.close()
+
     def test_hammer_inserts_are_keyed_by_wire_version(self):
         """Satellite 3: two threads hammer read() while a writer mutates.
         Every cache entry must hold the exact bytes of the version it is
