@@ -137,15 +137,14 @@ def _parallel_add(dst: np.ndarray, src: np.ndarray, scale: float) -> None:
 class SegmentWaiter:
     """One registered update-notification callback (:meth:`Segment.add_waiter`).
 
-    Three things race to finish a waiter — the version bump that
-    satisfies it, a timeout, and connection teardown — so completion is
-    claim-based: :meth:`claim` returns ``True`` exactly once, and only
-    the winner acts.
+    An update, pool close, a timeout and the peer going away race to
+    finish a waiter, so completion is claim-based: :meth:`claim` returns
+    ``True`` exactly once, and only the winner acts.
     """
 
     __slots__ = ("threshold", "_callback", "_lock", "_claimed")
 
-    def __init__(self, threshold: int, callback: Callable[[int], None]) -> None:
+    def __init__(self, threshold: int, callback: Callable[[Optional[int]], None]) -> None:
         self.threshold = threshold
         self._callback = callback
         self._lock = threading.Lock()
@@ -159,8 +158,8 @@ class SegmentWaiter:
             self._claimed = True
             return True
 
-    def fire(self, version: int) -> None:
-        """Invoke the callback if nothing else completed the waiter first."""
+    def fire(self, version: Optional[int]) -> None:
+        """Invoke the callback unless something else completed the waiter."""
         if self.claim():
             self._callback(version)
 
@@ -185,6 +184,8 @@ class Segment:
         buffer: Backing byte storage.  Dtype views are layered client-side.
         version: Bumped on every mutation; supports update notification.
         owner: Identifier of the creating client (informational).
+        closed: Set once the segment is freed or the pool closes; waits
+            then end at once.
     """
 
     name: str
@@ -193,14 +194,11 @@ class Segment:
     owner: str = ""
     tenant: str = DEFAULT_TENANT
     version: int = 0
+    closed: bool = field(default=False, repr=False)
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-    updated: threading.Condition = field(init=False, repr=False)
     _waiters: List[SegmentWaiter] = field(
         init=False, default_factory=list, repr=False
     )
-
-    def __post_init__(self) -> None:
-        self.updated = threading.Condition(self.lock)
 
     @property
     def size(self) -> int:
@@ -252,7 +250,6 @@ class Segment:
                 return self.version
             self.buffer[: len(data)] = np.frombuffer(data, dtype=np.uint8)
             self.version = version
-            self.updated.notify_all()
             ready = self._take_ready_waiters()
         for waiter in ready:
             waiter.fire(version)
@@ -266,7 +263,6 @@ class Segment:
                 data, dtype=np.uint8
             )
             self.version += 1
-            self.updated.notify_all()
             version = self.version
             ready = self._take_ready_waiters()
         for waiter in ready:
@@ -326,47 +322,40 @@ class Segment:
             else:
                 dst_view += scale * src_view
             self.version += 1
-            self.updated.notify_all()
             version = self.version
             ready = self._take_ready_waiters()
         for waiter in ready:
             waiter.fire(version)
         return version
 
-    def wait_for_update(
-        self, version: int, timeout: Optional[float] = None
-    ) -> int:
-        """Block until the segment version exceeds ``version``.
-
-        Returns the current version, which may still equal ``version`` if
-        ``timeout`` expired; callers decide whether that is an error.
-        """
-        with self.lock:
-            self.updated.wait_for(
-                lambda: self.version > version, timeout=timeout
-            )
-            return self.version
-
     def add_waiter(
-        self, version: int, callback: Callable[[int], None]
+        self, version: int, callback: Callable[[Optional[int]], None]
     ) -> Optional[SegmentWaiter]:
-        """Register ``callback(new_version)`` to fire once the segment
-        version exceeds ``version``.
+        """Register ``callback`` to fire once: with the new version when
+        the segment advances past ``version``, or ``None`` when the
+        segment is freed or the pool closes.  This is the one wait
+        mechanism: a server parks a wait as a waiter, never as a thread.
 
-        This is the non-blocking counterpart of :meth:`wait_for_update`:
-        an event-loop server registers a waiter instead of parking a
-        thread on the condition.  Returns the waiter handle, or ``None``
-        if the version has already advanced (the caller should answer
-        immediately).  The callback runs on the mutating thread with
-        **no segment locks held**; timeouts and cancellation are the
-        caller's job (:meth:`SegmentWaiter.claim` arbitrates the race).
+        Returns ``None`` if the wait is already over (advanced, or
+        closed) and the caller should answer at once.  The callback runs
+        on the mutating (or closing) thread with **no segment locks
+        held**; timeouts and cancellation are the caller's job
+        (:meth:`SegmentWaiter.claim` arbitrates the race).
         """
         with self.lock:
-            if self.version > version:
+            if self.closed or self.version > version:
                 return None
             waiter = SegmentWaiter(version, callback)
             self._waiters.append(waiter)
             return waiter
+
+    def close(self) -> None:
+        """Fire every parked waiter with ``None``; later ones end at once."""
+        with self.lock:
+            self.closed = True
+            waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            waiter.fire(None)
 
     def remove_waiter(self, waiter: SegmentWaiter) -> None:
         """Deregister a waiter (timeout or connection teardown)."""
@@ -444,6 +433,7 @@ class MemoryPool:
         # previous server life handed out (see advance_keys).
         self._shm_minted = 0
         self._access_minted = 0
+        self._closed = False
 
     # -- tenancy ------------------------------------------------------------
 
@@ -563,6 +553,7 @@ class MemoryPool:
                 buffer=np.zeros(nbytes, dtype=np.uint8),
                 owner=owner,
                 tenant=tenant,
+                closed=self._closed,
             )
             self._shm_minted += 1
             self._by_shm_key[segment.shm_key] = segment
@@ -648,6 +639,7 @@ class MemoryPool:
             if grant is not None:
                 grant.used = max(0, grant.used - segment.size)
                 grant.segments = max(0, grant.segments - 1)
+        segment.close()  # a wait on a freed segment ends, and later ones at once
 
     @property
     def shm_minted(self) -> int:
@@ -693,6 +685,7 @@ class MemoryPool:
                 buffer=np.ascontiguousarray(data, dtype=np.uint8).reshape(-1),
                 owner=owner,
                 tenant=tenant,
+                closed=self._closed,
             )
             segment.version = version
             self._by_shm_key[shm_key] = segment
@@ -754,7 +747,17 @@ class MemoryPool:
                 if seg.tenant == tenant
             }
 
-    def for_each(self, fn: Callable[[Segment], None]) -> None:
-        """Apply ``fn`` to every live segment (used by server shutdown)."""
-        for segment in self.segments().values():
-            fn(segment)
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run (a freed segment's waits end too,
+        but the pool stays open)."""
+        with self._lock:
+            return self._closed
+
+    def close(self) -> None:
+        """End every parked wait, and later ones at once (shutdown)."""
+        with self._lock:
+            self._closed = True
+            segments = list(self._by_name.values())
+        for segment in segments:
+            segment.close()

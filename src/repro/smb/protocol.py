@@ -81,6 +81,13 @@ def encode_wait_timeout(timeout: Optional[float]) -> float:
         return WAIT_SCALE_POLL
     return timeout
 
+
+def wait_socket_timeout(scale: float, request_timeout: float) -> Optional[float]:
+    """Client socket timeout for one WAIT_UPDATE: none for a forever wait,
+    else the wait's own timeout plus ``request_timeout``."""
+    return None if scale == WAIT_SCALE_FOREVER else max(scale, 0.0) + request_timeout
+
+
 #: Upper bound on the tenant-name record, so a corrupt length prefix
 #: cannot make the server wait on a multi-kilobyte "name".
 MAX_TENANT_NAME = 255
@@ -267,6 +274,15 @@ class Message:
             )
         except ValueError as exc:
             raise SMBProtocolError(str(exc)) from exc
+
+
+def shutdown_socket(sock: Optional[socket.socket]) -> None:
+    """Wake any thread blocked on ``sock`` (closing it would not)."""
+    if sock is not None:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
 
 def recv_exact_into(sock: socket.socket, view: memoryview) -> None:

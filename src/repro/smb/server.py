@@ -51,6 +51,7 @@ from .errors import (
     ServerClosingError,
     SMBError,
     SMBProtocolError,
+    UnknownKeyError,
     to_wire,
 )
 from .journal import (
@@ -176,6 +177,83 @@ class ServerStats:
         return data
 
 
+def _payload_text(req: Message) -> str:
+    """The UTF-8 string a request's payload carries (a name or dtype)."""
+    try:
+        return bytes(req.payload).decode()
+    except UnicodeDecodeError as exc:
+        raise SMBProtocolError(f"{req.op.name} payload is not UTF-8: {exc}") from exc
+
+
+def _error_response(req: Message, exc: SMBError) -> Message:
+    return Message(op=req.op, status=Status.ERROR, payload=to_wire(exc))
+
+
+class ParkedWait:
+    """One WAIT_UPDATE parked on a segment waiter (:meth:`SMBServer.park_wait`).
+    An update, pool close, the deadline (:meth:`expire`) and the peer going
+    away (:meth:`cancel`) race to finish it; the claim picks one winner."""
+
+    __slots__ = ("request", "deadline", "_core", "_tenant", "_complete",
+                 "_segment", "_waiter")
+
+    def __init__(self, core: "SMBServer", request: Message, tenant: str,
+                 complete: Callable[[Message], None]) -> None:
+        self.request = request
+        # A poll (scale < 0) is a wait whose deadline has already passed.
+        self.deadline = _monotonic() + max(request.scale, 0.0) if request.scale else None
+        self._core = core
+        self._tenant = tenant
+        self._complete = complete
+        self._segment: Segment  # both set once parked
+        self._waiter: SegmentWaiter
+
+    def remaining(self) -> Optional[float]:
+        """Seconds left before the deadline; ``None`` waits forever."""
+        if self.deadline is None:
+            return None
+        return max(0.0, self.deadline - _monotonic())
+
+    def expire(self) -> bool:
+        """Answer ``TIMEOUT`` unless another path finished the wait first."""
+        if not self.cancel():
+            return False
+        req = self.request
+        exc = NotificationTimeout(req.key, req.count, max(req.scale, 0.0))
+        self._finish(Message(op=req.op, status=Status.TIMEOUT,
+                             payload=str(exc).encode()))
+        return True
+
+    def cancel(self) -> bool:
+        """Finish the wait unanswered; ``True`` if this call won."""
+        if not self._waiter.claim():
+            return False
+        self._segment.remove_waiter(self._waiter)
+        return True
+
+    def _fire(self, version: Optional[int]) -> None:
+        """Answer the version; with none, the segment is gone:
+        ``ServerClosingError`` once the pool closed, else it was freed."""
+        req = self.request
+        if version is None:
+            gone: SMBError = (
+                ServerClosingError("server is shutting down")
+                if self._core.pool.closed
+                else UnknownKeyError(req.key)
+            )
+            self._finish(_error_response(req, gone))
+        else:
+            self._core.stats.record(req.op, tenant=self._tenant)
+            self._finish(Message(op=req.op, key=req.key, count=version))
+
+    def _finish(self, response: Message) -> None:
+        if response.status is not Status.OK:
+            tel = self._core._telemetry or _telemetry_current()
+            if tel.enabled:
+                tel.registry.inc(f"smb/server/errors/{response.status.name}")
+        self._complete(response)
+
+
 class SMBServer:
     """Transport-agnostic SMB request processor.
 
@@ -206,7 +284,6 @@ class SMBServer:
         # controller's direct read on the serialised-T.A3 bottleneck.
         self._accumulate_pending = 0
         self._accumulate_pending_lock = threading.Lock()
-        self._closing = threading.Event()
         # -- durability (off unless a journal directory is given) --------
         #: Restart counter: 0 for a fresh pool, +1 per recovery.  Carried
         #: in ATTACH responses so clients can observe server restarts.
@@ -324,28 +401,55 @@ class SMBServer:
         if _monotonic() - self._last_snapshot >= self._snapshot_interval:
             self._write_snapshot_locked()
 
-    def close(self) -> None:
-        """Refuse new waits and wake every blocked WAIT_UPDATE handler.
-
-        Long notification waits are the only place a handler thread can
-        park indefinitely; on shutdown they must unwind rather than pin
-        threads (and, for TCP, connections) forever.
+    def close(self, final_snapshot: bool = True) -> None:
+        """Answer every parked and later WAIT_UPDATE with
+        :class:`ServerClosingError`, and release the journal.
 
         With durability on, a final snapshot is written so a *clean*
-        shutdown always restarts bit-exactly regardless of journal mode.
+        shutdown always restarts bit-exactly regardless of journal mode;
+        ``final_snapshot=False`` (a kill) only releases the journal file,
+        as the OS would.
         """
-        self._closing.set()
-        if self._store is not None:
+        self.pool.close()
+        if self._store is None:
+            return
+        if final_snapshot:
             try:
                 with self._journal_lock:
                     self._write_snapshot_locked()
             except OSError:
                 logger.exception("final snapshot failed during close")
-            self._store.close()
-        def _wake(segment) -> None:
-            with segment.lock:
-                segment.updated.notify_all()
-        self.pool.for_each(_wake)
+        self._store.close()
+
+    def park_wait(
+        self,
+        request: Message,
+        complete: Callable[[Message], None],
+        tenant: str = DEFAULT_TENANT,
+    ) -> Optional[ParkedWait]:
+        """Park one WAIT_UPDATE; ``complete(response)`` answers it once.
+
+        The one wait path behind every front-end.  An unknown key, a
+        segment already past the version or a closed pool is answered at
+        once and ``None`` returned.  Otherwise the returned handle is
+        parked with the caller's real deadline (already due for a poll),
+        and an update, a FREE of the segment or :meth:`close` answers it
+        from the thread that caused it, with no segment lock held
+        (``complete`` must not block).
+        """
+        parked = ParkedWait(self, request, tenant, complete)
+        try:
+            segment = self.pool.by_access_key(request.key)
+        except SMBError as exc:
+            parked._finish(_error_response(request, exc))
+            return None
+        waiter = segment.add_waiter(request.count, parked._fire)
+        if waiter is None:  # already over: advanced, or the pool closed
+            version = segment.version
+            parked._fire(version if version > request.count else None)
+            return None
+        parked._segment, parked._waiter = segment, waiter
+        return parked
 
     def handle(
         self,
@@ -408,16 +512,12 @@ class SMBServer:
     ) -> Message:
         try:
             return self._dispatch(request, out, tenant)
-        except NotificationTimeout as exc:
-            return Message(op=request.op, status=Status.TIMEOUT,
-                           payload=str(exc).encode())
         except SMBError as exc:
             if isinstance(exc, QuotaExceededError):
                 self.stats.registry.inc(
                     f"smb/tenant/{exc.tenant}/quota_denials"
                 )
-            return Message(op=request.op, status=Status.ERROR,
-                           payload=to_wire(exc))
+            return _error_response(request, exc)
 
     def _track_accumulate_queue(self, delta: int) -> None:
         """Maintain the ``smb/server/queue/accumulate`` depth gauge."""
@@ -436,7 +536,7 @@ class SMBServer:
             with self._mutation_guard():
                 try:
                     segment = self.pool.create(
-                        bytes(req.payload).decode(), req.count, tenant=tenant
+                        _payload_text(req), req.count, tenant=tenant
                     )
                 except ValueError as exc:
                     # A bad name or size is the caller's fault: answer
@@ -462,7 +562,7 @@ class SMBServer:
                            count=segment.version)
 
         if req.op is Op.LOOKUP:
-            segment = self.pool.by_name(bytes(req.payload).decode(), tenant)
+            segment = self.pool.by_name(_payload_text(req), tenant)
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op, key=segment.shm_key,
                            count=segment.size)
@@ -501,7 +601,7 @@ class SMBServer:
             # historical wire format) means float32.
             dtype = "float32"
             if req.payload_nbytes:
-                dtype = bytes(req.payload).decode()
+                dtype = _payload_text(req)
             try:
                 itemsize = int(np.dtype(dtype).itemsize)
             except TypeError as exc:
@@ -546,35 +646,8 @@ class SMBServer:
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op)
 
-        if req.op is Op.WAIT_UPDATE:
-            segment = self.pool.by_access_key(req.key)
-            # scale > 0: bounded wait; scale == 0: wait forever (the
-            # historical encoding); scale < 0: poll — one immediate
-            # version check that never parks a handler thread.
-            if req.scale < 0:
-                version = segment.version
-                if version <= req.count:
-                    raise NotificationTimeout(req.key, req.count, 0.0)
-                self.stats.record(req.op, tenant=tenant)
-                return Message(op=req.op, key=req.key, count=version)
-            timeout = req.scale if req.scale > 0 else None
-            # Wait in bounded slices so close() can interrupt a handler
-            # parked on a notification that will never come.
-            deadline = _monotonic() + timeout if timeout is not None else None
-            version = segment.version
-            while version <= req.count:
-                if self._closing.is_set():
-                    raise ServerClosingError("server is shutting down")
-                wait = 0.5
-                if deadline is not None:
-                    wait = min(wait, deadline - _monotonic())
-                    if wait <= 0:
-                        raise NotificationTimeout(
-                            req.key, req.count, timeout or 0.0
-                        )
-                version = segment.wait_for_update(req.count, wait)
-            self.stats.record(req.op, tenant=tenant)
-            return Message(op=req.op, key=req.key, count=version)
+        # WAIT_UPDATE never gets here: every front-end parks it through
+        # park_wait, so handle() never blocks.
 
         if req.op is Op.VERSION:
             segment = self.pool.by_access_key(req.key)
@@ -627,7 +700,7 @@ class SMBServer:
             return Message(op=req.op, payload=payload)
 
         if req.op is Op.TENANT_CREATE:
-            name = bytes(req.payload).decode()
+            name = _payload_text(req)
             quota = req.count if req.count > 0 else None
             try:
                 with self._mutation_guard():
@@ -657,11 +730,8 @@ class SMBServer:
 
 
 #: Ops the event loop always hands to the blocking pool (snapshots hit
-#: disk).  ``WAIT_UPDATE`` is deliberately *not* here: waits are served
-#: event-style through :meth:`~repro.smb.memory.Segment.add_waiter`, so
-#: a parked wait costs a dict entry, never a pool thread — a fleet of
-#: waiters can therefore never exhaust the pool and starve the very
-#: ACCUMULATE/WRITE that would wake them.
+#: disk).  ``WAIT_UPDATE`` is not here: a parked wait costs a dict
+#: entry, never a pool thread (:meth:`SMBServer.park_wait`).
 _ALWAYS_OFFLOAD = frozenset({Op.SNAPSHOT})
 
 #: Transfer size (bytes) above which a data op leaves the loop thread.
@@ -675,19 +745,21 @@ OFFLOAD_BYTES = 64 * 1024
 class _Connection:
     """Per-connection protocol state machine driven by the event loop.
 
-    The machine cycles ``HELLO -> (HEADER -> [PAYLOAD] -> BUSY/WRITE)*``;
-    while BUSY (request being processed, possibly on the worker pool) the
-    socket is unregistered from the selector, which both enforces the
-    protocol's strict request/response alternation and makes the pooled
-    buffers safe to reuse: no new bytes can land in ``recv_buf`` until
-    the response built from it (and from ``read_buf``) is fully flushed.
+    The machine cycles ``HELLO -> (HEADER -> [PAYLOAD] -> BUSY/WAIT ->
+    WRITE)*``; while BUSY (request being processed, possibly on the
+    worker pool) the socket is unregistered from the selector, which
+    both enforces the protocol's strict request/response alternation and
+    makes the pooled buffers safe to reuse: no new bytes can land in
+    ``recv_buf`` until the response built from it (and from
+    ``read_buf``) is fully flushed.  While WAIT (a parked WAIT_UPDATE)
+    it stays registered, and readable then means the peer hung up.
     """
 
-    HELLO, HEADER, PAYLOAD, BUSY, WRITE = range(5)
+    HELLO, HEADER, PAYLOAD, BUSY, WAIT, WRITE = range(6)
 
     __slots__ = (
         "sock", "peer", "state", "have", "need", "hbuf",
-        "recv_buf", "read_buf", "request", "out_views",
+        "recv_buf", "read_buf", "out_views",
         "close_after_write", "dead", "tenant",
     )
 
@@ -707,30 +779,9 @@ class _Connection:
         # traffic allocates nothing payload-sized.
         self.recv_buf = bytearray(1 << 16)
         self.read_buf = bytearray(0)
-        self.request: Optional[Message] = None
         self.out_views: List[memoryview] = []
         self.close_after_write = False
         self.dead = False
-
-
-class _PendingWait:
-    """Bookkeeping for one parked WAIT_UPDATE (see ``_begin_wait``)."""
-
-    __slots__ = ("request", "segment", "waiter", "deadline", "timeout")
-
-    def __init__(
-        self,
-        request: Message,
-        segment: Segment,
-        waiter: SegmentWaiter,
-        deadline: Optional[float],
-        timeout: Optional[float],
-    ) -> None:
-        self.request = request
-        self.segment = segment
-        self.waiter = waiter
-        self.deadline = deadline
-        self.timeout = timeout
 
 
 class _TenantLanes:
@@ -906,12 +957,12 @@ class TcpSMBServer:
     non-blockingly.  Small control ops (attach, version, a control-block
     read) are served inline — no handoff latency on the fast path.
 
-    ``WAIT_UPDATE`` takes neither path: a wait registers an event-style
-    waiter on the segment (:meth:`~repro.smb.memory.Segment.add_waiter`)
-    and the loop moves on — a parked wait costs a dict entry, not a pool
-    thread, so any number of waiters leaves the pool free for the
-    mutation that will wake them.  Timeouts are expired by the loop
-    (the ``select`` timeout tracks the nearest wait deadline).
+    ``WAIT_UPDATE`` takes neither path: a wait parks through
+    :meth:`SMBServer.park_wait` and the loop moves on — a parked wait
+    costs a dict entry, not a pool thread, so any number of waiters
+    leaves the pool free for the mutation that will wake them.  The
+    loop expires deadlines (the ``select`` timeout tracks the nearest
+    one) and cancels a wait whose peer hangs up.
 
     Lifecycle: :meth:`stop` severs *every* connection (idle ones
     included), wakes parked waits, drains the worker pool and joins the
@@ -952,13 +1003,10 @@ class TcpSMBServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._conns: Dict[socket.socket, _Connection] = {}
-        # Blocking-op pool.  Waits are cheap (they sleep), data ops are
-        # few; size generously enough that a fleet of waiters does not
-        # starve a bulk accumulate behind them.
         if workers is None:
             workers = max(8, min(32, (os.cpu_count() or 4) * 2))
         # Pool threads run at background CPU priority: they carry only
-        # bulk transfers and parked waits, while the loop thread serves
+        # bulk transfers and blocking ops, while the loop thread serves
         # every latency-bound control op inline — so on a saturated host
         # the scheduler keeps small ops fast instead of queueing them
         # behind whole-model accumulates.
@@ -972,17 +1020,15 @@ class TcpSMBServer:
         self._lanes = _TenantLanes(
             self._pool, workers, self.core.stats.registry
         )
-        # Completions posted by pool tasks; the loop drains after a
-        # wakeup byte.  (conn, request, response) — response None means
+        # Completions posted by pool tasks and answered waits, drained
+        # after a wakeup byte: (conn, request, response), where None means
         # the handler crashed and the connection must be closed.
         self._completions: Deque[
             Tuple[_Connection, Message, Optional[Message]]
         ] = deque()
-        # Parked WAIT_UPDATEs, keyed by connection.  Registered and
-        # expired on the loop thread; completed (claim-arbitrated) from
-        # whichever mutator thread bumps the segment version.
-        self._waiters: Dict[_Connection, _PendingWait] = {}
-        self._waiters_lock = threading.Lock()
+        # Parked WAIT_UPDATEs, keyed by connection; touched only on the
+        # loop thread.
+        self._waiters: Dict[_Connection, ParkedWait] = {}
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
@@ -1019,20 +1065,10 @@ class TcpSMBServer:
         """Stop serving; returns with **zero** live handler threads.
 
         Every connection — including idle ones whose peers are parked in
-        ``recv`` — is severed, waits are woken through
-        :meth:`SMBServer.close`, the worker pool is drained and the loop
-        thread joined.  (The threaded predecessor closed only the
-        listener, leaving handler threads pinned until process exit.)
+        ``recv`` — is severed (ending its parked wait), the core is
+        closed, the worker pool is drained and the loop thread joined.
         """
-        self._clean_stop = True
-        self._stop.set()
-        self._wake_loop()
-        if self._loop_thread is not None and self._loop_thread.is_alive():
-            self._loop_thread.join(timeout=10.0)
-        else:
-            # Never started (or already gone): release resources inline.
-            self._teardown(clean=True)
-        self._pool.shutdown(wait=True)
+        self._halt(clean=True)
 
     def kill(self) -> None:
         """Die abruptly: sever every connection, skip the clean-shutdown
@@ -1040,13 +1076,17 @@ class TcpSMBServer:
         in-process server — recovery must come from the journal
         directory, exactly as it would after a real process death.
         """
-        self._clean_stop = False
+        self._halt(clean=False)
+
+    def _halt(self, clean: bool) -> None:
+        self._clean_stop = clean
         self._stop.set()
         self._wake_loop()
         if self._loop_thread is not None and self._loop_thread.is_alive():
             self._loop_thread.join(timeout=10.0)
         else:
-            self._teardown(clean=False)
+            # Never started (or already gone): release resources inline.
+            self._teardown(clean=clean)
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "TcpSMBServer":
@@ -1063,13 +1103,7 @@ class TcpSMBServer:
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         try:
             while not self._stop.is_set():
-                timeout = None
-                deadline = self._next_wait_deadline()
-                if deadline is not None:
-                    timeout = max(0.0, deadline - _monotonic())
-                events = self._selector.select(timeout)
-                self._expire_waits()
-                for key, _mask in events:
+                for key, _mask in self._selector.select(self._expire_waits()):
                     if key.data is None:
                         self._accept_ready()
                     elif key.data == "wake":
@@ -1111,12 +1145,20 @@ class TcpSMBServer:
             return
         while self._completions:
             conn, request, response = self._completions.popleft()
+            self._waiters.pop(conn, None)
             if conn.dead:
                 continue
             if response is None:
                 self._close_conn(conn)
                 continue
             self._start_write(conn, request, response)
+
+    def _post(
+        self, conn: _Connection, request: Message, response: Optional[Message]
+    ) -> None:
+        """Hand a finished request to the loop thread (any thread)."""
+        self._completions.append((conn, request, response))
+        self._wake_loop()
 
     def _service(self, conn: _Connection, mask: int) -> None:
         if conn.dead:
@@ -1138,7 +1180,9 @@ class TcpSMBServer:
                 target = memoryview(conn.hbuf)[conn.have:conn.need]
             elif conn.state == _Connection.PAYLOAD:
                 target = memoryview(conn.recv_buf)[conn.have:conn.need]
-            else:  # BUSY/WRITE: spurious readiness, e.g. pipelined bytes
+            else:  # WAIT: the peer hung up; BUSY/WRITE: spurious readiness
+                if conn.state == _Connection.WAIT:
+                    self._close_conn(conn)
                 return
             try:
                 received = conn.sock.recv_into(target)
@@ -1210,15 +1254,15 @@ class TcpSMBServer:
             if request.count > len(conn.read_buf):
                 conn.read_buf = bytearray(request.count)
             out = memoryview(conn.read_buf)
-        conn.request = request
+        if request.op is Op.WAIT_UPDATE:
+            self._begin_wait(conn, request)
+            return
         # While the request is in flight the socket leaves the selector:
         # strict request/response means the peer has nothing to send, and
         # the pooled buffers must not be overwritten mid-dispatch.
         conn.state = _Connection.BUSY
         self._selector.unregister(conn.sock)
-        if request.op is Op.WAIT_UPDATE:
-            self._begin_wait(conn, request)
-        elif self._needs_offload(request):
+        if self._needs_offload(request):
             self._lanes.submit(
                 conn.tenant,
                 self._request_cost(request),
@@ -1268,9 +1312,8 @@ class TcpSMBServer:
         self, conn: _Connection, request: Message, out: Optional[memoryview]
     ) -> None:
         """Serve a request on the loop thread, with the same crash guard
-        as the pool path: an unexpected exception from one frame — a
-        non-UTF-8 name payload, a bad dtype string — costs that one
-        connection, never the event loop."""
+        as the pool path: an unexpected exception from one frame costs
+        that one connection, never the event loop."""
         try:
             response = self.core.handle(request, out, tenant=conn.tenant)
         except Exception:  # noqa: BLE001 - keep the server alive
@@ -1290,115 +1333,35 @@ class TcpSMBServer:
         except Exception:  # noqa: BLE001 - keep the server alive
             logger.exception("SMB handler crashed for peer %s", conn.peer)
             response = None
-        self._completions.append((conn, request, response))
-        self._wake_loop()
+        self._post(conn, request, response)
 
     # -- WAIT_UPDATE, event-style ---------------------------------------
 
     def _begin_wait(self, conn: _Connection, request: Message) -> None:
-        """Park a WAIT_UPDATE without occupying any thread.
+        """Park a WAIT_UPDATE as one ``_waiters`` entry, no thread: the
+        worker pool stays free for the ops that wake it."""
+        conn.state = _Connection.WAIT
+        parked = self.core.park_wait(
+            request,
+            lambda response: self._post(conn, request, response),
+            tenant=conn.tenant,
+        )
+        if parked is not None:
+            self._waiters[conn] = parked
 
-        A waiter callback is registered on the segment; when a mutation
-        advances the version past the threshold, the callback re-submits
-        the request to the pool, where ``handle`` now returns without
-        blocking (the version check is first).  Until then the wait is
-        one ``_waiters`` entry — hundreds of parked waiters leave the
-        worker pool entirely free for the ops that wake them.
-
-        A poll (``scale < 0``) never parks: the core answers it inline
-        (version check first, ``TIMEOUT`` otherwise), so a ``0.0`` poll
-        returns promptly instead of becoming an immortal waiter whose
-        ``deadline=None`` expiry would never fire.
-        """
-        if request.scale < 0:
-            self._handle_inline(conn, request, None)
-            return
-        try:
-            if self.core._closing.is_set():
-                raise ServerClosingError("server is shutting down")
-            segment = self.core.pool.by_access_key(request.key)
-        except SMBError as exc:
-            self._start_write(conn, request, Message(
-                op=request.op, status=Status.ERROR, payload=to_wire(exc)
-            ))
-            return
-        timeout = request.scale if request.scale > 0 else None
-        deadline = _monotonic() + timeout if timeout is not None else None
-
-        def _on_update(_version: int) -> None:
-            # Runs on whichever thread bumped the version; the lane hop
-            # keeps response encoding/stats off the mutator's hot path
-            # (and a woken wait queues fairly behind its tenant's bulk).
-            with self._waiters_lock:
-                self._waiters.pop(conn, None)
-            self._lanes.submit(
-                conn.tenant,
-                _TenantLanes.MIN_COST,
-                lambda: self._process(conn, request, None),
-            )
-
-        waiter = segment.add_waiter(request.count, _on_update)
-        if waiter is None:  # already satisfied — answer inline, no block
-            self._handle_inline(conn, request, None)
-            return
-        pending = _PendingWait(request, segment, waiter, deadline, timeout)
-        with self._waiters_lock:
-            self._waiters[conn] = pending
-        # close() may have raced the registration: its condition broadcast
-        # fires no callbacks, so finish the wait here or it parks forever.
-        if self.core._closing.is_set() and waiter.claim():
-            with self._waiters_lock:
-                self._waiters.pop(conn, None)
-            segment.remove_waiter(waiter)
-            self._start_write(conn, request, Message(
-                op=request.op, status=Status.ERROR,
-                payload=to_wire(ServerClosingError("server is shutting down")),
-            ))
-
-    def _next_wait_deadline(self) -> Optional[float]:
-        with self._waiters_lock:
-            deadlines = [
-                p.deadline for p in self._waiters.values()
-                if p.deadline is not None
-            ]
-        return min(deadlines) if deadlines else None
-
-    def _expire_waits(self) -> None:
-        """Time out parked waits whose deadline has passed (loop thread)."""
-        if not self._waiters:
-            return
+    def _expire_waits(self) -> Optional[float]:
+        """Time out parked waits whose deadline has passed; return the
+        seconds to the next deadline (the ``select`` timeout)."""
         now = _monotonic()
-        expired: List[Tuple[_Connection, _PendingWait]] = []
-        with self._waiters_lock:
-            for conn, pending in list(self._waiters.items()):
-                if pending.deadline is None or now < pending.deadline:
-                    continue
-                if pending.waiter.claim():
-                    del self._waiters[conn]
-                    expired.append((conn, pending))
-                # claim lost: a mutator is finishing this wait right now
-                # and pops the entry itself.
-        for conn, pending in expired:
-            pending.segment.remove_waiter(pending.waiter)
-            exc = NotificationTimeout(
-                pending.request.key, pending.request.count,
-                pending.timeout or 0.0,
-            )
-            tel = self.core._telemetry
-            if tel is None:
-                tel = _telemetry_current()
-            if tel.enabled:
-                tel.registry.inc("smb/server/errors/TIMEOUT")
-            self._start_write(conn, pending.request, Message(
-                op=pending.request.op, status=Status.TIMEOUT,
-                payload=str(exc).encode(),
-            ))
-
-    def _cancel_wait(self, conn: _Connection) -> None:
-        with self._waiters_lock:
-            pending = self._waiters.pop(conn, None)
-        if pending is not None and pending.waiter.claim():
-            pending.segment.remove_waiter(pending.waiter)
+        left = []
+        for parked in list(self._waiters.values()):
+            if parked.deadline is None:
+                continue
+            if now >= parked.deadline:
+                parked.expire()  # answers through _post unless it lost
+            else:
+                left.append(parked.deadline - now)
+        return min(left, default=None)
 
     def _start_write(
         self, conn: _Connection, request: Message, response: Message
@@ -1409,8 +1372,11 @@ class TcpSMBServer:
         if view.nbytes:
             conn.out_views.append(view)
         conn.close_after_write = request.op is Op.SHUTDOWN
+        if conn.state == _Connection.WAIT:  # still registered for read
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+        else:
+            self._selector.register(conn.sock, selectors.EVENT_WRITE, conn)
         conn.state = _Connection.WRITE
-        self._selector.register(conn.sock, selectors.EVENT_WRITE, conn)
         self._flush(conn)
 
     def _flush(self, conn: _Connection) -> None:
@@ -1439,7 +1405,6 @@ class TcpSMBServer:
             # exit.  Teardown happens in _loop_main's finally.
             self._stop.set()
             return
-        conn.request = None
         conn.state = _Connection.HEADER
         conn.have, conn.need = 0, HEADER_SIZE
         self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
@@ -1448,7 +1413,9 @@ class TcpSMBServer:
         if conn.dead:
             return
         conn.dead = True
-        self._cancel_wait(conn)
+        parked = self._waiters.pop(conn, None)
+        if parked is not None:
+            parked.cancel()
         try:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError):
@@ -1466,25 +1433,14 @@ class TcpSMBServer:
             self._listener.close()
         except OSError:
             pass
-        if clean:
-            # Final snapshot + refuse/wake waits.
-            self.core.close()
-        else:
-            # kill(): wake waits and release the journal file handle
-            # (mimicking the OS reclaiming it on death) WITHOUT the final
-            # snapshot that core.close() would write.
-            self.core._closing.set()
-            if self.core._store is not None:
-                self.core._store.close()
-
-            def _wake(segment) -> None:
-                with segment.lock:
-                    segment.updated.notify_all()
-
-            self.core.pool.for_each(_wake)
+        # Sever first: this front-end's parked waits end with their
+        # connections, as on a real process death, so a retrying client
+        # follows a restart.  Closing the core ends the waits of any
+        # front-end sharing it; kill() skips the final snapshot.
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         self._conns.clear()
+        self.core.close(final_snapshot=clean)
         if self._selector is not None:
             try:
                 self._selector.close()

@@ -41,7 +41,6 @@ from ..telemetry import TelemetrySession
 from ..telemetry import current as _telemetry_current
 from .client import SMBClient
 from .errors import (
-    NotificationTimeout,
     SMBError,
     TransportClosedError,
     UnknownKeyError,
@@ -490,8 +489,6 @@ class ReplicaServer:
         while not self._stopping.is_set():
             try:
                 new = client.wait_update(access_key, sub.version, timeout=None)
-            except NotificationTimeout:
-                continue
             except VersionRegressionError as regress:
                 # The primary recovered below our mirror.  Resync from
                 # the recovered state — forcing the install so the local

@@ -35,10 +35,14 @@ instead of 64 MiB through loopback TCP in both kernels.
 Strict request/response means the block is always quiescent when it is
 replaced, so growth never migrates in-flight data.
 
-``WAIT_UPDATE`` runs on a lazily opened second connection (its own small
+``WAIT_UPDATE`` runs on a lazily opened second connection (its own
 block), mirroring :class:`~repro.smb.transport.TcpTransport`'s
 notification channel: a parked wait must never serialise the worker's
-other thread, and waits are sliced so ``close()`` interrupts them.
+other thread.  A wait is one request, answered into the block by
+whichever server thread finishes it; a client that hangs up mid-wait
+cancels it, and ``close()`` shuts the doorbell sockets down, which wakes
+a wait at once.  A server process that dies ends a forever wait (its
+sockets close); one that hangs alive is not detected.
 
 The server end, :class:`ShmSMBServer`, serves each connection on its own
 thread — co-located workers are bounded by the node's core count, so the
@@ -50,8 +54,10 @@ remote and a local doorway.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
+import select
 import socket
 import struct
 import threading
@@ -68,6 +74,9 @@ from .protocol import (
     Status,
     encode_hello,
     read_hello,
+    recv_exact,
+    shutdown_socket,
+    wait_socket_timeout,
 )
 from .server import DEFAULT_POOL_CAPACITY, SMBServer
 
@@ -80,8 +89,9 @@ DATA_OFFSET = 64
 #: Initial per-connection block size; grown geometrically on demand.
 DEFAULT_BLOCK_SIZE = 1 << 20  # 1 MiB
 
-#: Notification-channel block size: WAIT_UPDATE frames are header-only.
-NOTIFY_BLOCK_SIZE = 4096
+#: Payload room a client keeps in its block for a WAIT_UPDATE answer (at
+#: most an error text): the thread that answers a wait cannot switch blocks.
+WAIT_ANSWER_BYTES = 1024
 
 #: Seconds a freshly accepted connection gets to complete the HELLO
 #: handshake before its handler thread gives up — a client that connects
@@ -89,19 +99,6 @@ NOTIFY_BLOCK_SIZE = 4096
 HANDSHAKE_TIMEOUT = 10.0
 
 _DOORBELL = struct.Struct("!q")
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < n:
-        try:
-            chunk = sock.recv(n - len(chunks))
-        except OSError as exc:
-            raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
-        if not chunk:
-            raise SMBConnectionError("peer closed the doorbell socket")
-        chunks.extend(chunk)
-    return bytes(chunks)
 
 
 def _send_all(sock: socket.socket, data: bytes) -> None:
@@ -116,7 +113,7 @@ def _send_doorbell(sock: socket.socket, value: int) -> None:
 
 
 def _recv_doorbell(sock: socket.socket) -> int:
-    return _DOORBELL.unpack(_recv_exact(sock, _DOORBELL.size))[0]
+    return _DOORBELL.unpack(recv_exact(sock, _DOORBELL.size))[0]
 
 
 def _send_name_record(sock: socket.socket, name: str) -> None:
@@ -125,8 +122,8 @@ def _send_name_record(sock: socket.socket, name: str) -> None:
 
 
 def _recv_name_record(sock: socket.socket) -> str:
-    (length,) = struct.unpack("!H", _recv_exact(sock, 2))
-    return _recv_exact(sock, length).decode()
+    (length,) = struct.unpack("!H", recv_exact(sock, 2))
+    return recv_exact(sock, length).decode()
 
 
 def _attach_block(name: str) -> shared_memory.SharedMemory:
@@ -225,7 +222,7 @@ class _ShmChannel:
         self, message: Message, out: Optional[memoryview] = None
     ) -> Message:
         payload = message.payload_view()
-        expect = message.count if message.op is Op.READ else 0
+        expect = {Op.READ: message.count, Op.WAIT_UPDATE: WAIT_ANSWER_BYTES}.get(message.op, 0)
         self.ensure(DATA_OFFSET + max(payload.nbytes, expect))
         assert self.shm is not None
         request_nbytes = DATA_OFFSET + payload.nbytes
@@ -263,8 +260,8 @@ class ShmTransport:
 
     Satisfies the :class:`~repro.smb.transport.Transport` protocol.  One
     command channel carries every ordinary request under a lock;
-    ``WAIT_UPDATE`` runs sliced on a lazily opened notification channel
-    so a parked wait never blocks the worker's data-path thread.
+    ``WAIT_UPDATE`` runs on a lazily opened notification channel so a
+    parked wait never blocks the worker's data-path thread.
     """
 
     def __init__(
@@ -288,28 +285,44 @@ class ShmTransport:
         if self._closed.is_set():
             raise TransportClosedError("transport is closed")
         if message.op is Op.WAIT_UPDATE:
-            from .transport import _sliced_wait
-
-            return _sliced_wait(self._notify_exchange, message, self._closed)
+            return self._wait(message)
         with self._lock:
             return self._cmd.exchange(message, out)
 
-    def _notify_exchange(self, message: Message) -> Message:
+    def _wait(self, message: Message) -> Message:
+        """One WAIT_UPDATE, under the socket timeout the wait implies."""
         with self._notify_lock:
-            if self._closed.is_set():
-                raise TransportClosedError("transport is closed")
             if self._notify is None:
                 self._notify = _ShmChannel(
                     self._path, self._timeout, self._tenant
                 )
-            return self._notify.exchange(message)
+            # Checked after the slot is filled, so close() either sees
+            # this channel or this check sees close().
+            if self._closed.is_set():
+                raise TransportClosedError("transport is closed")
+            self._notify.sock.settimeout(wait_socket_timeout(message.scale, self._timeout))
+            try:
+                return self._notify.exchange(message)
+            except SMBConnectionError as exc:
+                self._notify.close()
+                self._notify = None
+                if self._closed.is_set():
+                    raise TransportClosedError("transport closed while waiting") from exc
+                raise
 
     def close(self) -> None:
         self._closed.set()
-        self._cmd.close()
-        if self._notify is not None:
-            self._notify.close()
-            self._notify = None
+        # Shut down first, without the locks: that wakes an exchange in
+        # flight, which then lets its lock go for the close below.
+        for channel in (self._cmd, self._notify):
+            if channel is not None:
+                shutdown_socket(channel.sock)
+        with self._lock:
+            self._cmd.close()
+        with self._notify_lock:
+            if self._notify is not None:
+                self._notify.close()
+                self._notify = None
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +382,9 @@ class ShmSMBServer:
     def stop(self) -> None:
         """Sever every connection and join every handler thread."""
         self._stop.set()
-        try:
-            # Closing alone does not wake a thread blocked in accept() on
-            # an AF_UNIX socket; shutdown() does (with EINVAL).
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        # Closing alone does not wake a thread blocked in accept() on an
+        # AF_UNIX socket; shutdown() does (with EINVAL).
+        shutdown_socket(self._listener)
         try:
             self._listener.close()
         except OSError:
@@ -383,10 +393,9 @@ class ShmSMBServer:
         with self._conns_lock:
             conns, self._conns = self._conns, []
         for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            # Wake the connection's thread wherever it blocks; it closes
+            # its own socket on the way out.
+            shutdown_socket(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         # Snapshot only after the accept thread is gone, so no handler
@@ -469,6 +478,12 @@ class ShmSMBServer:
         out: Optional[memoryview] = None
         if op is Op.READ and count > 0:
             out = buf[DATA_OFFSET:]
+        if op is Op.WAIT_UPDATE:
+            # Answered by _serve_wait itself; hold no view into the block.
+            wait = dataclasses.replace(request, payload=b"")
+            del request, buf
+            self._serve_wait(conn, block, wait, tenant)
+            return block, op
         response = self.core.handle(request, out, tenant=tenant)
         view = response.payload_view()
         nbytes = view.nbytes
@@ -497,6 +512,52 @@ class ShmSMBServer:
         buf[:HEADER_SIZE] = resp_header
         _send_doorbell(conn, DATA_OFFSET + nbytes)
         return block, op
+
+    def _serve_wait(
+        self,
+        conn: socket.socket,
+        block: shared_memory.SharedMemory,
+        request: Message,
+        tenant: str,
+    ) -> None:
+        """Park a WAIT_UPDATE whose completion writes the answer into the
+        block and rings it, from whichever thread finishes the wait, and
+        poll the doorbell until the deadline: the peer sends nothing
+        until answered, so readable while still parked means it hung up.
+        Returns only once any ring is done, so the block outlives it."""
+        rung = threading.Event()
+
+        def complete(response: Message) -> None:
+            try:
+                payload = response.payload_view()
+                buf = block.buf
+                buf[DATA_OFFSET:DATA_OFFSET + payload.nbytes] = payload
+                buf[:HEADER_SIZE] = response.encode_header()
+                del buf
+                _send_doorbell(conn, DATA_OFFSET + payload.nbytes)
+            except SMBConnectionError:
+                pass  # the peer is gone; its handler tears down
+            except Exception:  # noqa: BLE001 - runs on the writer's thread
+                logger.exception("SMB shm wait answer failed")
+                shutdown_socket(conn)
+            finally:
+                rung.set()
+
+        parked = self.core.park_wait(request, complete, tenant=tenant)
+        if parked is None:
+            return  # answered at once, on this thread
+        poller = select.poll()
+        poller.register(conn, select.POLLIN)
+        remaining = parked.remaining()
+        ready = None
+        try:
+            ready = poller.poll(None if remaining is None else remaining * 1000)
+        finally:  # a poll that raised ends the wait like a hang-up
+            ended_here = parked.expire() if ready == [] else parked.cancel()
+            if not ended_here:
+                rung.wait()  # another thread won; let its ring finish
+        if ended_here and ready:
+            raise SMBConnectionError("peer hung up mid-wait")
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with self._conns_lock:

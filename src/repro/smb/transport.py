@@ -18,38 +18,54 @@ request/response exchange is serialised by an internal lock, **except**
 ``WAIT_UPDATE``, which must never hold that lock: a notification wait can
 block for seconds while the other thread still needs to read/write/
 accumulate.  :class:`TcpTransport` therefore runs waits on a dedicated
-second connection (the *notification channel*), and both transports chop a
-long wait into bounded slices so ``close()`` wakes a blocked waiter
-promptly instead of letting shutdown hang.
+second connection (the *notification channel*).  A wait is one request
+with the caller's timeout, and ``close()`` wakes it directly: in-process
+by cancelling the parked waiter, over TCP by shutting the sockets down.
 
-Fault tolerance: every TCP request observes a per-request deadline, and a
-connection that dies is re-established (with a fresh protocol handshake)
-on the next request — the retry layer in :class:`~repro.smb.client.SMBClient`
-turns that into a transparent reconnect-and-retry.
+Fault tolerance: every TCP request but a wait observes a per-request
+deadline (a wait's comes from its own timeout, and keepalive probes catch
+a server that goes silent), and a connection that dies is re-established
+(with a fresh protocol handshake) on the next request — the retry layer
+in :class:`~repro.smb.client.SMBClient` turns that into a transparent
+reconnect-and-retry.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
 import threading
 from time import monotonic, sleep
-from typing import Callable, Optional, Protocol, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Tuple, Union
 
 from .errors import SMBConnectionError, TransportClosedError
 from .journal import read_rendezvous
 from .memory import DEFAULT_TENANT
-from .protocol import Message, Op, Status, encode_hello, recv_message, send_message
-from .server import SMBServer
-
-#: Upper bound on one server-side blocking slice of a WAIT_UPDATE.  Small
-#: enough that close() wakes a waiter quickly; large enough that re-arming
-#: the wait is not a busy loop.
-WAIT_SLICE = 0.25
+from .protocol import (
+    Message,
+    Op,
+    encode_hello,
+    recv_message,
+    send_message,
+    shutdown_socket,
+    wait_socket_timeout,
+)
+from .server import ParkedWait, SMBServer
 
 #: Pause between connect attempts while inside a server-down grace window.
 RECONNECT_PAUSE = 0.2
+
+
+def enable_keepalive(sock: socket.socket, within: float) -> None:
+    """Fail a connection whose peer went silent (host down, network cut)
+    within about ``within`` s: idle half of it, then 3 probes (Linux's
+    knobs; elsewhere the system defaults apply)."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    if hasattr(socket, "TCP_KEEPIDLE"):
+        idle = min(max(1, int(within / 2)), 32767)  # Linux's cap
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPIDLE, idle)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPINTVL, max(1, idle // 3))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPCNT, 3)
 
 
 class Transport(Protocol):
@@ -73,45 +89,6 @@ class Transport(Protocol):
         ...
 
 
-def _sliced_wait(
-    exchange: Callable[[Message], Message],
-    message: Message,
-    closed: threading.Event,
-    slice_seconds: float = WAIT_SLICE,
-) -> Message:
-    """Run one WAIT_UPDATE as a sequence of bounded server-side waits.
-
-    The caller's timeout semantics are preserved (``scale == 0`` waits
-    forever, ``scale < 0`` polls, otherwise the deadline is honoured to
-    within one slice), but no single exchange blocks longer than
-    ``slice_seconds`` — so a concurrent :meth:`Transport.close` is
-    observed promptly and shutdown cannot hang on a notification that
-    will never come.
-    """
-    if message.scale < 0:
-        # Poll: a single non-blocking exchange; a TIMEOUT response (the
-        # segment has not advanced) propagates for the client to raise.
-        if closed.is_set():
-            raise TransportClosedError("transport closed while waiting")
-        return exchange(message)
-    deadline = monotonic() + message.scale if message.scale > 0 else None
-    while True:
-        if closed.is_set():
-            raise TransportClosedError("transport closed while waiting")
-        remaining = slice_seconds
-        if deadline is not None:
-            remaining = min(remaining, deadline - monotonic())
-            if remaining <= 0:
-                remaining = 1e-3  # at least one (instant) version check
-        response = exchange(
-            dataclasses.replace(message, scale=remaining)
-        )
-        if response.status is not Status.TIMEOUT:
-            return response
-        if deadline is not None and monotonic() >= deadline:
-            return response  # genuine timeout; client raises from it
-
-
 class InProcTransport:
     """Direct function-call transport into an in-process server core.
 
@@ -127,6 +104,8 @@ class InProcTransport:
         self._tenant = tenant
         self._lock = threading.Lock()
         self._closed = threading.Event()
+        self._waits: Dict[ParkedWait, threading.Event] = {}
+        self._waits_lock = threading.Lock()
 
     def request(
         self, message: Message, out: Optional[memoryview] = None
@@ -136,16 +115,42 @@ class InProcTransport:
         # WAIT_UPDATE may block for a long time; never hold the exchange
         # lock across it or the worker's other thread would stall too.
         if message.op is Op.WAIT_UPDATE:
-            return _sliced_wait(
-                lambda msg: self._server.handle(msg, tenant=self._tenant),
-                message,
-                self._closed,
-            )
+            return self._wait(message)
         with self._lock:
             return self._server.handle(message, out, tenant=self._tenant)
 
+    def _wait(self, message: Message) -> Message:
+        """Park one WAIT_UPDATE in the core and sleep until it is answered,
+        expiring it at its deadline; :meth:`close` cancels it."""
+        done = threading.Event()
+        answer: List[Message] = []
+
+        def complete(response: Message) -> None:
+            answer.append(response)
+            done.set()
+
+        parked = self._server.park_wait(message, complete, self._tenant)
+        if parked is not None:
+            with self._waits_lock:
+                self._waits[parked] = done
+            if self._closed.is_set() and parked.cancel():  # close() ran first
+                done.set()
+            if not done.wait(parked.remaining()):
+                parked.expire()
+                done.wait()
+            with self._waits_lock:
+                del self._waits[parked]
+        if not answer:
+            raise TransportClosedError("transport closed while waiting")
+        return answer[0]
+
     def close(self) -> None:
         self._closed.set()
+        with self._waits_lock:
+            waits = list(self._waits.items())
+        for parked, done in waits:
+            if parked.cancel():
+                done.set()
 
 
 class TcpTransport:
@@ -160,10 +165,11 @@ class TcpTransport:
 
     Either connection that dies (peer reset, timeout, server restart) is
     torn down and re-established — including the protocol ``HELLO``
-    handshake — on the next request that needs it.  Every exchange
-    observes ``request_timeout``; an overdue response surfaces as
+    handshake — on the next request that needs it.  Every exchange but a
+    wait observes ``request_timeout``; an overdue response surfaces as
     :class:`SMBConnectionError`, which the client's retry policy treats
-    as transient.
+    as transient; a wait's socket times out after its own timeout plus
+    ``request_timeout`` (never, for a forever wait: keepalive instead).
     """
 
     def __init__(
@@ -253,28 +259,23 @@ class TcpTransport:
                 pass
 
     def drop_connection(self) -> None:
-        """Abort both connections (fault injection / tests).
+        """Abort both connections (fault injection, and :meth:`close`).
 
-        The next request transparently reconnects and re-handshakes; a
-        thread blocked in a wait observes a connection error and lets the
-        retry layer re-issue the wait.
-
-        The notification socket is *closed without the lock* — that is
-        what interrupts a waiter blocked in ``recv`` (which holds
-        ``_notify_lock`` for up to a wait slice) — but the shared
-        ``_notify_sock`` slot itself is only cleared under the lock, and
-        only if it still holds the socket we closed.  The old code
-        assigned ``None`` lock-free, so a concurrent ``_notify_exchange``
-        could read ``None`` mid-exchange and crash with ``TypeError``
-        instead of the retryable ``SMBConnectionError``.
+        ``shutdown()`` wakes a thread blocked in ``recv`` (closing does
+        not), so a blocked wait sees a connection error and the retry
+        layer re-issues it; the next request reconnects.  Each slot is
+        then cleared under its lock (the wait's only if no woken waiter
+        reconnected it meanwhile).
         """
+        notify = self._notify_sock
+        shutdown_socket(self._sock)
+        shutdown_socket(notify)
         with self._lock:
             self._discard(self._sock)
             self._sock = None
-        notify = self._notify_sock
-        self._discard(notify)  # interrupts a blocked recv, never blocks
         with self._notify_lock:
-            if self._notify_sock is notify:
+            if self._closed.is_set() or self._notify_sock is notify:
+                self._discard(self._notify_sock)
                 self._notify_sock = None
 
     # -- request path -----------------------------------------------------
@@ -282,13 +283,11 @@ class TcpTransport:
     def request(
         self, message: Message, out: Optional[memoryview] = None
     ) -> Message:
-        if self._closed.is_set():
-            raise TransportClosedError("transport is closed")
         if message.op is Op.WAIT_UPDATE:
-            return _sliced_wait(self._notify_exchange, message, self._closed)
+            return self._wait(message)
         with self._lock:
             if self._sock is None:
-                self._sock = self._connect()
+                self._sock = self._connect()  # refuses once closed
                 self.reconnects += 1
             try:
                 send_message(self._sock, message)
@@ -300,31 +299,34 @@ class TcpTransport:
                 self._sock = None
                 raise
 
-    def _notify_exchange(self, message: Message) -> Message:
-        """One exchange on the dedicated notification connection."""
+    def _wait(self, message: Message) -> Message:
+        """One WAIT_UPDATE on the notification connection, under a socket
+        timeout taken from the wait, so the retry layer never mistakes a
+        healthy long wait for a dead connection."""
         with self._notify_lock:
-            if self._closed.is_set():
-                raise TransportClosedError("transport is closed")
             if self._notify_sock is None:
                 self._notify_sock = self._connect()
+                enable_keepalive(self._notify_sock, self._request_timeout)
                 # Reconnects on this channel count too; only the very
                 # first (lazy) open is free.
                 if self._notify_connected_once:
                     self.reconnects += 1
                 self._notify_connected_once = True
+            if self._closed.is_set():
+                raise TransportClosedError("transport is closed")
+            self._notify_sock.settimeout(
+                wait_socket_timeout(message.scale, self._request_timeout)
+            )
             try:
                 send_message(self._notify_sock, message)
                 return recv_message(self._notify_sock)
-            except SMBConnectionError:
+            except SMBConnectionError as exc:
                 self._discard(self._notify_sock)
                 self._notify_sock = None
+                if self._closed.is_set():
+                    raise TransportClosedError("transport closed while waiting") from exc
                 raise
 
     def close(self) -> None:
         self._closed.set()
-        # Closing the sockets wakes any thread blocked in recv() with an
-        # OSError -> SMBConnectionError, so shutdown never waits a slice.
-        self._discard(self._sock)
-        self._sock = None
-        self._discard(self._notify_sock)
-        self._notify_sock = None
+        self.drop_connection()

@@ -9,6 +9,8 @@ errors.  All tests carry the ``chaos`` marker so CI can run them as a
 dedicated job (``pytest -m chaos``).
 """
 
+import socket
+import sys
 import threading
 import time
 
@@ -32,12 +34,16 @@ from repro.smb import (
     Op,
     RetryExhaustedError,
     RetryPolicy,
+    ServerClosingError,
+    ShmSMBServer,
     SMBClient,
+    SMBConnectionError,
     SMBServer,
     TcpSMBServer,
     TransportClosedError,
     UnknownKeyError,
 )
+from repro.smb import shm_transport
 from repro.smb.protocol import Message
 
 from .test_netspec import small_spec
@@ -199,38 +205,254 @@ class TestRemoteErrorReconstruction:
             client.close()
 
 
+TRANSPORT_KINDS = ["inproc", "tcp", "shm"]
+
+
+def _open(kind, tmp_path, **client_kwargs):
+    """A fresh server of one transport kind, its core, and a client."""
+    if kind == "tcp":
+        server = TcpSMBServer(capacity=1 << 20).start()
+        client = SMBClient.connect(server.address, **client_kwargs)
+        return server, server.core, client
+    if kind == "shm":
+        path = tmp_path / "smb.sock"
+        server = ShmSMBServer(path, capacity=1 << 20).start()
+        return server, server.core, SMBClient.connect_local(path, **client_kwargs)
+    core = SMBServer(capacity=1 << 20)
+    return None, core, SMBClient.in_process(core, **client_kwargs)
+
+
+def _forever_wait(array):
+    """Start a thread parked in ``wait_update(timeout=None)``."""
+    outcome = {}
+    version = array.version()
+
+    def waiter():
+        try:
+            outcome["version"] = array.wait_update(version, timeout=None)
+        except BaseException as exc:  # noqa: BLE001 - recorded for assert
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=waiter, daemon=True)
+    thread.start()
+    time.sleep(0.2)  # let the wait actually park
+    return thread, outcome
+
+
 class TestWaitUpdateLifecycle:
-    @pytest.mark.parametrize("transport_kind", ["inproc", "tcp"])
-    def test_close_wakes_blocked_wait(self, transport_kind):
-        """close() unblocks an infinite WAIT_UPDATE promptly."""
-        if transport_kind == "tcp":
-            server = TcpSMBServer(capacity=1 << 20).start()
-            client = SMBClient.connect(server.address)
-        else:
-            server = None
-            client = SMBClient.in_process(SMBServer(capacity=1 << 20))
+    @pytest.mark.parametrize("transport_kind", TRANSPORT_KINDS)
+    def test_close_wakes_blocked_wait(self, transport_kind, tmp_path):
+        """close() ends an infinite WAIT_UPDATE at once, not when some
+        wait slice runs out."""
+        server, _core, client = _open(transport_kind, tmp_path)
+        thread, outcome = _forever_wait(client.create_array("seg", 16))
+        start = time.monotonic()
+        client.close()
+        thread.join(timeout=5.0)
+        elapsed = time.monotonic() - start
+        assert not thread.is_alive(), "close() failed to wake the waiter"
+        assert isinstance(outcome.get("error"), TransportClosedError)
+        assert elapsed < 0.1, f"close() took {elapsed:.3f} s to wake the wait"
+        if server is not None:
+            server.stop()
+
+    @pytest.mark.parametrize("transport_kind", TRANSPORT_KINDS)
+    def test_idle_forever_wait_is_one_request(self, transport_kind, tmp_path):
+        """A forever wait reaches the server once, however long it
+        parks: no client- or server-side re-arming."""
+        server, core, client = _open(transport_kind, tmp_path)
         array = client.create_array("seg", 16)
-        outcome = {}
+        parked = []
+        park_wait = core.park_wait
+
+        def counting_park_wait(request, *args, **kwargs):
+            parked.append(request)
+            return park_wait(request, *args, **kwargs)
+
+        core.park_wait = counting_park_wait
+        thread, outcome = _forever_wait(array)
+        time.sleep(0.8)  # one second parked, counting _forever_wait's
+        assert len(parked) == 1
+        array.write(np.ones(16, dtype=np.float32))
+        thread.join(timeout=5.0)
+        assert outcome.get("version") == 1
+        assert len(parked) == 1
+        client.close()
+        if server is not None:
+            server.stop()
+
+    @pytest.mark.parametrize("transport_kind", ["tcp", "shm"])
+    def test_client_close_releases_the_server_side(
+        self, transport_kind, tmp_path
+    ):
+        """A client that hangs up mid-wait cancels its parked wait: no
+        wait entry (TCP) or connection thread (shm) outlives it."""
+        server, _core, client = _open(transport_kind, tmp_path)
+        thread, _outcome = _forever_wait(client.create_array("seg", 16))
+
+        def released():
+            if transport_kind == "tcp":
+                return not server._waiters
+            return not any(t.is_alive() for t in server._handlers)
+
+        assert not released()
+        client.close()
+        thread.join(timeout=5.0)
+        deadline = time.monotonic() + 1.0
+        while not released() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert released()
+        server.stop()
+
+    @pytest.mark.parametrize("transport_kind", TRANSPORT_KINDS)
+    def test_server_stop_ends_a_forever_wait(self, transport_kind, tmp_path):
+        server, core, client = _open(
+            transport_kind, tmp_path, retry_policy=FAST_RETRY
+        )
+        thread, outcome = _forever_wait(client.create_array("seg", 16))
+        if server is None:
+            core.close()
+        else:
+            server.stop()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "stop() left the wait parked"
+        assert isinstance(
+            outcome.get("error"), (ServerClosingError, SMBConnectionError)
+        )
+        client.close()
+
+    @pytest.mark.parametrize("transport_kind", TRANSPORT_KINDS)
+    def test_freeing_the_segment_ends_a_forever_wait(
+        self, transport_kind, tmp_path
+    ):
+        """A FREE answers the segment's parked waits: the segment is
+        gone, so a forever wait ends with UnknownKeyError, not never."""
+        server, core, client = _open(transport_kind, tmp_path)
+        array = client.create_array("seg", 16)
+        thread, outcome = _forever_wait(array)
+        segment = core.pool.by_name("seg")
+        assert len(segment._waiters) == 1
+        start = time.monotonic()
+        array.free()
+        thread.join(timeout=5.0)
+        elapsed = time.monotonic() - start
+        assert not thread.is_alive(), "free left the wait parked"
+        assert isinstance(outcome.get("error"), UnknownKeyError)
+        assert elapsed < 1.0, f"free took {elapsed:.3f} s to end the wait"
+        assert segment._waiters == []
+        client.close()
+        if server is not None:
+            server.stop()
+
+    def test_shm_wait_that_fails_is_cancelled(self, tmp_path, monkeypatch):
+        """An shm handler whose wait fails mid-park (here: its poll
+        raises) cancels the parked waiter instead of leaving it on the
+        segment, and the next wait on a fresh connection works."""
+        class BrokenPoll:
+            def register(self, *args):
+                pass
+
+            def poll(self, *args):
+                raise OSError("poll failed")
+
+        server, core, client = _open("shm", tmp_path)
+        array = client.create_array("seg", 16)
+        monkeypatch.setattr(shm_transport.select, "poll", BrokenPoll)
+        with pytest.raises((SMBConnectionError, RetryExhaustedError)):
+            array.wait_update(array.version(), timeout=None)
+        assert core.pool.by_name("seg")._waiters == []
+        monkeypatch.undo()
+        with pytest.raises(NotificationTimeout):
+            array.wait_update(array.version(), timeout=0.05)
+        client.close()
+        server.stop()
+
+    def test_tcp_notify_socket_runs_keepalive_probes(self):
+        """A forever wait has no socket timeout, so the notification
+        connection runs keepalive probes sized from request_timeout: a
+        server host that goes silent still fails the wait."""
+        policy = RetryPolicy(request_timeout=12.0)
+        with TcpSMBServer(capacity=1 << 20) as server:
+            client = SMBClient.connect(server.address, retry_policy=policy)
+            array = client.create_array("seg", 16)
+            with pytest.raises(NotificationTimeout):
+                array.wait_update(array.version(), timeout=0.01)
+            sock = client._transport._notify_sock
+            assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+            if hasattr(socket, "TCP_KEEPIDLE"):
+                idle = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPIDLE)
+                interval = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPINTVL)
+                count = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPCNT)
+                assert idle + interval * count <= 12
+            client.close()
+
+    @pytest.mark.parametrize("transport_kind", TRANSPORT_KINDS)
+    def test_racing_deadlines_and_updates_answer_each_wait_once(
+        self, transport_kind, tmp_path
+    ):
+        """Short deadlines race a fast writer, with thread switches forced
+        often: every wait ends exactly once — with a newer version or a
+        timeout — and no waiter is left parked on the segment."""
+        server, core, client = _open(transport_kind, tmp_path)
+        array = client.create_array("seg", 16)
+        errors = []
 
         def waiter():
             try:
-                array.wait_update(version=array.version(), timeout=None)
-                outcome["result"] = "returned"
-            except BaseException as exc:  # noqa: BLE001 - recorded for assert
-                outcome["error"] = exc
+                for _ in range(25):
+                    seen = array.version()
+                    try:
+                        assert array.wait_update(seen, timeout=0.005) > seen
+                    except NotificationTimeout:
+                        pass
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
 
-        thread = threading.Thread(target=waiter, daemon=True)
-        thread.start()
-        time.sleep(0.2)  # let the wait actually block
+        stop = threading.Event()
+
+        def writer():
+            while not stop.is_set():
+                array.write(np.ones(16, dtype=np.float32))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=waiter) for _ in range(4)]
+            pusher = threading.Thread(target=writer)
+            for thread in threads + [pusher]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            stop.set()
+            pusher.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [pusher])
+        assert errors == []
+        segment = core.pool.by_name("seg")
+        deadline = time.monotonic() + 2.0
+        while segment._waiters and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert segment._waiters == []
         client.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive(), "close() failed to wake the waiter"
-        assert isinstance(
-            outcome.get("error"),
-            (TransportClosedError, Exception),
-        )
         if server is not None:
             server.stop()
+
+    def test_dropped_connection_reissues_the_wait(self):
+        """drop_connection() wakes a forever wait with a retryable error;
+        the retry layer re-issues it and a later write completes it."""
+        with TcpSMBServer(capacity=1 << 20) as server:
+            client = SMBClient.connect(server.address, retry_policy=FAST_RETRY)
+            array = client.create_array("seg", 16)
+            thread, outcome = _forever_wait(array)
+            client._transport.drop_connection()
+            time.sleep(0.2)
+            assert thread.is_alive()
+            array.write(np.ones(16, dtype=np.float32))
+            thread.join(timeout=5.0)
+            assert outcome == {"version": 1}
+            assert client._transport.reconnects >= 2  # both channels
+            client.close()
 
     def test_wait_does_not_block_the_other_thread_over_tcp(self):
         """The notification channel keeps commands flowing during a wait.

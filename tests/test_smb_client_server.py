@@ -13,7 +13,8 @@ from repro.smb import (
     TcpSMBServer,
     UnknownKeyError,
 )
-from repro.smb.errors import SMBProtocolError
+from repro.smb.errors import SMBProtocolError, from_wire
+from repro.smb.protocol import Message, Op, Status
 
 
 @pytest.fixture()
@@ -192,6 +193,32 @@ class TestMalformedCreate:
     ):
         with pytest.raises(SMBProtocolError, match="rejected CREATE"):
             any_client.create_buffer(name, nbytes)
+        # The connection survived: the next request is served on it.
+        shm_key = any_client.create_buffer("ok", 64)
+        assert any_client.lookup("ok") == (shm_key, 64)
+        assert getattr(any_client._transport, "reconnects", 0) == 0
+
+
+class TestNonUtf8Payloads:
+    @pytest.mark.parametrize(
+        "op", [Op.LOOKUP, Op.TENANT_CREATE, Op.ACCUMULATE],
+        ids=lambda op: op.name,
+    )
+    def test_answered_with_a_typed_error_on_every_transport(
+        self, any_client, op
+    ):
+        """A name or dtype payload that is not UTF-8 is the caller's
+        fault: a typed error, never a handler crash or a lost
+        connection."""
+        message = Message(op=op, payload=b"\xff\xfe\xfd")
+        if op is Op.ACCUMULATE:  # valid keys, so only the dtype is bad
+            dst = any_client.create_array("dst", 4)
+            src = any_client.create_array("src", 4)
+            message = Message(op=op, key=dst.access_key, key2=src.access_key,
+                              payload=b"\xff\xfe\xfd")
+        response = any_client._transport.request(message)
+        assert response.status is Status.ERROR
+        assert isinstance(from_wire(response.payload), SMBProtocolError)
         # The connection survived: the next request is served on it.
         shm_key = any_client.create_buffer("ok", 64)
         assert any_client.lookup("ok") == (shm_key, 64)

@@ -246,15 +246,21 @@ class TestEventStyleWaits:
 
 class TestDispatchRobustness:
     def test_malformed_inline_frame_costs_one_connection(self):
-        """A LOOKUP whose name payload is not UTF-8 raises past the
-        SMBError net inside dispatch.  That must close the offending
-        connection only — never crash the event loop (which used to take
-        the whole server down for every client)."""
+        """A handler that raises past the SMBError net on an inline frame
+        must close the offending connection only — never crash the event
+        loop (which used to take the whole server down for every
+        client)."""
         with TcpSMBServer(capacity=1 << 22) as server:
+            handle = server.core.handle
+
+            def crash_on_lookup(request, *args, **kwargs):
+                if request.op is Op.LOOKUP:
+                    raise RuntimeError("handler bug")
+                return handle(request, *args, **kwargs)
+
+            server.core.handle = crash_on_lookup
             bad = _raw_connect(server.address)
-            bad.sendall(Message(
-                op=Op.LOOKUP, payload=b"\xff\xfe\xfd",
-            ).encode())
+            bad.sendall(Message(op=Op.LOOKUP, payload=b"w").encode())
             bad.settimeout(5.0)
             assert bad.recv(1) == b"", "expected the connection severed"
             bad.close()

@@ -153,27 +153,10 @@ class TestSegment:
         out = np.frombuffer(dst.read(0, nbytes), dtype=np.float32)
         np.testing.assert_array_equal(out, base + step)
 
-    def test_wait_for_update_times_out(self):
-        segment = make_segment()
-        assert segment.wait_for_update(0, timeout=0.01) == 0
-
-    def test_wait_for_update_wakes_on_write(self):
-        segment = make_segment()
-        seen = []
-
-        def waiter():
-            seen.append(segment.wait_for_update(0, timeout=5.0))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        segment.write(0, b"x")
-        thread.join(timeout=5.0)
-        assert seen == [1]
-
 
 class TestSegmentWaiters:
-    """Event-style waiters: the non-blocking counterpart of
-    wait_for_update that the TCP event loop parks WAIT_UPDATEs on."""
+    """Event-style waiters: the one mechanism every server front-end
+    parks WAIT_UPDATEs on."""
 
     def test_waiter_fires_on_write(self):
         segment = make_segment()
@@ -220,6 +203,20 @@ class TestSegmentWaiters:
         segment.remove_waiter(waiter)
         segment.write(0, b"x")
         assert fired == []
+
+    def test_pool_close_ends_parked_and_later_waits(self):
+        """Closing the pool fires every parked waiter with ``None``; a
+        wait registered afterwards, even on a new segment, ends at once."""
+        pool = MemoryPool(capacity=1024)
+        segment = pool.create("w", 8)
+        fired = []
+        segment.add_waiter(0, fired.append)
+        pool.close()
+        assert fired == [None]
+        assert segment.add_waiter(0, fired.append) is None
+        assert pool.create("late", 8).add_waiter(0, fired.append) is None
+        segment.write(0, b"x")  # still writable; nothing left to fire
+        assert fired == [None]
 
     def test_waiter_fires_exactly_once(self):
         segment = make_segment()

@@ -33,7 +33,7 @@ from repro.smb import (
     ShmSMBServer,
     TcpSMBServer,
 )
-from repro.smb.errors import SMBProtocolError
+from repro.smb.errors import SMBProtocolError, from_wire
 from repro.smb.memory import MemoryPool
 from repro.smb.protocol import (
     HEADER_FORMAT,
@@ -299,16 +299,19 @@ class TestInlineDispatch:
         finally:
             server.stop()
 
-    def test_malformed_name_kills_connection_not_server(self):
+    def test_malformed_name_is_answered_on_a_live_connection(self):
         server = TcpSMBServer(capacity=1 << 20).start()
         try:
             healthy = SMBClient.connect(server.address)
             bad = _raw_connect(server.address)
-            # A LOOKUP whose name payload is not UTF-8 crashes the
-            # handler; the crash guard must contain it to this socket.
-            bad.sendall(Message(op=Op.LOOKUP, payload=b"\xff\xfe\xfd").encode())
-            with pytest.raises(ConnectionError):
-                _raw_recv_exact(bad, HEADER_SIZE)
+            # A LOOKUP whose name payload is not UTF-8 is the caller's
+            # fault: a typed error, and the connection keeps serving.
+            response = _raw_call(
+                bad, Message(op=Op.LOOKUP, payload=b"\xff\xfe\xfd")
+            )
+            assert response.status is Status.ERROR
+            assert isinstance(from_wire(response.payload), SMBProtocolError)
+            assert _raw_call(bad, Message(op=Op.LIST)).status is Status.OK
             bad.close()
             # The event loop is still serving everyone else.
             healthy.create_buffer("alive", 64)
